@@ -6,12 +6,13 @@ together.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import (Baseline, CostMatrix, Dataset, ScoringFunction,
-                   WeakClassifier, indicator)
-from .potentials import EXP, ZERO_ONE, LossSpec, loss_value, potential_fixed
+                   prediction_matrix, training_error)
+from .potentials import EXP, potential_fixed
 
 ALPHA_MAX = 20.0
 
@@ -77,6 +78,22 @@ def drop_factor_exact(A_plus, A_minus, Z_prev, delta):
     return (1.0 - c) + math.sqrt(max(c * c - delta * delta, 0.0))
 
 
+def _step(delta, alpha_max, ratio=None):
+    """(alpha, clamped): 0 for a non-positive edge, else half the log of
+    ratio, clamped at alpha_max. The ratio defaults to the APPROX odds
+    (1 + delta)/(1 - delta); an edge within 1e-15 of 1, or an infinite
+    ratio, is separation and clamps."""
+    if delta <= 0.0:
+        return 0.0, False
+    if ratio is None:
+        ratio = ((1.0 + delta) / (1.0 - delta) if delta < 1.0 - 1e-15
+                 else math.inf)
+    alpha = 0.5 * math.log(ratio)
+    if alpha > alpha_max:
+        return alpha_max, True
+    return max(alpha, 0.0), False
+
+
 def adaboost_mm(dataset, T, learner, step_rule="APPROX", alpha_max=ALPHA_MAX):
     """Algorithm with original labels y_i: adaptive cost matrix, edge
     delta_t = (-C_t.1_h)/Z_{t-1}, APPROX or EXACT step, clamp at
@@ -105,25 +122,12 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX", alpha_max=ALPHA_MAX):
         A_plus = float(e[correct].sum())
         A_minus = float(e[np.arange(m), preds - 1][~correct].sum())
 
-        clamped = False
+        ratio = None
+        if step_rule == "EXACT":
+            ratio = A_plus / A_minus if A_minus > 0.0 else math.inf
+        alpha, clamped = _step(delta, alpha_max, ratio)
         if delta <= 0.0:
-            alpha = 0.0
             negative += 1
-        elif step_rule == "APPROX":
-            if delta >= 1.0 - 1e-15:
-                alpha, clamped = alpha_max, True
-            else:
-                alpha = 0.5 * math.log((1.0 + delta) / (1.0 - delta))
-                if alpha > alpha_max:
-                    alpha, clamped = alpha_max, True
-        else:
-            if A_minus == 0.0:
-                alpha, clamped = alpha_max, True
-            else:
-                alpha = 0.5 * math.log(A_plus / A_minus)
-                if alpha > alpha_max:
-                    alpha, clamped = alpha_max, True
-                alpha = max(alpha, 0.0)
         f[np.arange(m), preds - 1] += alpha
         # exact identity: Z_t = Z - (1-e^-a) A_plus + (e^a - 1) A_minus
         Z_after = Z - (1.0 - math.exp(-alpha)) * A_plus \
@@ -191,14 +195,12 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     run = BoostRun(rounds, scoring, dataset,
                    extra={"initial_potential": initial,
                           "condition_satisfied": all_satisfied})
+    run.bound_asserted = all_satisfied
     if all_satisfied:
-        from .core import training_error
         err = training_error(scoring, dataset)
-        run.bound_asserted = err <= initial + 1e-9
-        assert run.bound_asserted, (
-            f"training error {err} above initial potential {initial}")
-    else:
-        run.bound_asserted = False
+        if err > initial + 1e-9:
+            raise RuntimeError(
+                f"training error {err} above initial potential {initial}")
     return run
 
 
@@ -214,21 +216,25 @@ class MislabelDataset:
     def size(self):
         return len(self.triples)
 
+    @cached_property
+    def columns(self):
+        """The triples as three int arrays: example index, y, l."""
+        return np.array(self.triples, dtype=int).reshape(-1, 3).T
+
 
 class TransformedClassifier:
-    """h~(x, y, l) = 1[h(x)=l] - 1[h(x)=y], in {-1, 0, +1}."""
+    """h~(x, y, l) = 1[h(x)=l] - 1[h(x)=y], in {-1, 0, +1}, from h's
+    row `preds` of the space's prediction matrix."""
 
-    def __init__(self, h, source, index=-1):
+    def __init__(self, h, preds, index=-1):
         self.h = h
         self.index = index
-        self._preds = h.predict_all(source)
+        self.preds = preds
 
     def values(self, mislabel):
-        out = np.empty(mislabel.size)
-        for j, (i, yy, l) in enumerate(mislabel.triples):
-            p = self._preds[i]
-            out[j] = (1.0 if p == l else 0.0) - (1.0 if p == yy else 0.0)
-        return out
+        i, y, l = mislabel.columns
+        p = self.preds[i]
+        return (p == l).astype(float) - (p == y)
 
 
 def transform_mislabel(dataset, Hspace):
@@ -236,7 +242,8 @@ def transform_mislabel(dataset, Hspace):
                     for i in range(dataset.m)
                     for l in range(1, dataset.k + 1) if l != dataset.labels[i])
     mislabel = MislabelDataset(triples, dataset)
-    transformed = [TransformedClassifier(h, dataset, j)
+    P = prediction_matrix(Hspace, dataset)
+    transformed = [TransformedClassifier(h, P[j], j)
                    for j, h in enumerate(Hspace)]
     return mislabel, transformed
 
@@ -263,16 +270,9 @@ def adaboost_binary(mislabel, Hspace, T, alpha_max=ALPHA_MAX):
         # ties cannot be broken by float summation noise
         j = int(np.argmax(edges >= edges.max() - 2e-12))
         delta = float(edges[j])
-        clamped = False
+        alpha, clamped = _step(delta, alpha_max)
         if delta <= 0.0:
-            alpha = 0.0
             negative += 1
-        elif delta >= 1.0 - 1e-15:
-            alpha, clamped = alpha_max, True
-        else:
-            alpha = 0.5 * math.log((1.0 + delta) / (1.0 - delta))
-            if alpha > alpha_max:
-                alpha, clamped = alpha_max, True
         Ft = Ft + alpha * values[j]
         rounds.append(BoostRound(t, Hspace[j], j, delta, alpha, Z,
                                  float(np.exp(np.minimum(Ft, 700.0)).sum()),
@@ -298,6 +298,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     bin_run = adaboost_binary(mislabel, transformed, T)
 
     y = dataset.label_array - 1
+    ti, ty, tl = mislabel.columns
     if len(mm.rounds) != len(bin_run.rounds):
         return False, "round counts differ"
     f = np.zeros((dataset.m, dataset.k))
@@ -308,14 +309,13 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
             return False, f"round {ra.t}: weights differ"
         # normalized weights over triples at the start of the round
         e = _mm_weight_matrix(f, y)
-        mm_w = np.array([e[i, l - 1] for (i, _, l) in mislabel.triples])
+        mm_w = e[ti, tl - 1]
         mm_w /= mm_w.sum()
         if np.max(np.abs(mm_w - rb.extra["dist"])) > tol:
             return False, f"round {ra.t}: per-triple weights differ"
-        f[np.arange(dataset.m), ra.classifier.predict_all(dataset) - 1] += ra.alpha
+        f[np.arange(dataset.m), rb.classifier.preds - 1] += ra.alpha
     ft = bin_run.extra["F_tilde"]
-    mm_ft = np.array([f[i, l - 1] - f[i, yv - 1]
-                      for (i, yv, l) in mislabel.triples])
+    mm_ft = f[ti, tl - 1] - f[ti, ty - 1]
     if np.max(np.abs(ft - mm_ft)) > max(tol, 1e-8):
         return False, "final transformed scores differ"
     return True, "ok"

@@ -11,6 +11,13 @@ has finitely many extreme rays per row, so the game is a small LP; we
 solve it exactly and report a duality gap recomputed from the two
 returned certificates (mixture and cost matrix), not trusted from the
 solver.
+
+A finite classifier space is carried as one (n, m) prediction matrix
+P[j, i] = h_j(x_i) (core.prediction_matrix); the LP coefficients, H_lambda
+and the certificate bounds are read from it by indexing. Both games, the
+condition game and the separation game of is_boostable, share one LP
+builder and solver (_solve_lp); they differ only in their cost rows and
+slacks.
 """
 
 import itertools
@@ -20,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import (Baseline, CostMatrix, Dataset, TableClassifier,
-                   indexed_dataset, indicator)
+from .core import (Baseline, CostMatrix, TableClassifier, indexed_dataset,
+                   prediction_matrix)
 
 
 # ---------------------------------------------------------------- baselines
@@ -149,54 +156,77 @@ class GameValueReport:
     satisfied: bool         # value <= tolerance
 
     def __post_init__(self):
-        assert abs(self.mixture.sum() - 1.0) <= 1e-9
-        assert self.gap >= 0.0
+        if abs(self.mixture.sum() - 1.0) > 1e-9:
+            raise ValueError("mixture does not sum to 1")
+        if self.gap < 0.0:
+            raise ValueError("negative duality gap")
 
 
-def solve_game(Hspace, cond, dataset, iters=None, tol=1e-7):
-    """Value, mixture and achieving cost matrix of the condition game."""
-    if not Hspace:
+def _vertex_rows(family, k, y):
+    """(m, r, k) array: each example's cost rows, from its label."""
+    # + 0.0 turns the -0.0 entries of -e_y into +0.0, the value of the
+    # dot product v . 1_h(x_i), so A_ub holds exactly those products
+    table = np.array([_row_vertices(family, k, l) for l in range(k)]) + 0.0
+    return table[y]
+
+
+def _solve_lp(P, rows, B, per_example):
+    """The LP of a game over the (n, m) prediction matrix P: minimize the
+    slack total over lambda in the simplex subject to
+    rows[i, q] . (H_lambda(i) - B(i)) <= slack, with one slack >= 0 per
+    example (per_example) or one free slack shared by every row.
+
+    Returns (lambda, H_lambda, certificate, lower, iterations): the
+    certificate is the cost matrix sum_q mu[i, q] rows[i, q] of the dual
+    weights mu, and lower = min_j certificate . (1_{h_j} - B)."""
+    n, m = P.shape
+    if n == 0:
         raise ValueError("empty classifier space")
-    if cond.baseline is None:
-        raise ValueError("MINIMAL has no single baseline; use is_boostable")
-    m, k, n = dataset.m, dataset.k, len(Hspace)
-    y = dataset.label_array - 1
-    B = cond.baseline.entries
-    inds = [indicator(h.predict_all(dataset), k) for h in Hspace]
-
-    verts = [_row_vertices(cond.family, k, y[i]) for i in range(m)]
-    rows, rhs, row_owner = [], [], []
-    for i in range(m):
-        for v in verts[i]:
-            coef = np.zeros(n + m)
-            coef[:n] = [float(v @ ind[i]) for ind in inds]
-            coef[n + i] = -1.0
-            rows.append(coef)
-            rhs.append(float(v @ B[i]))
-            row_owner.append((i, v))
-    c_obj = np.concatenate([np.zeros(n), np.ones(m)])
-    a_eq = np.concatenate([np.ones(n), np.zeros(m)])[None, :]
-    res = linprog(c_obj, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=a_eq, b_eq=[1.0], bounds=[(0, None)] * (n + m),
-                  method="highs")
+    r = rows.shape[1]
+    slacks = m if per_example else 1
+    A = np.zeros((m * r, n + slacks))
+    # A[(i, q), j] = rows[i, q] . 1_{h_j}(x_i) = rows[i, q, h_j(x_i) - 1]
+    A[:, :n] = rows[np.arange(m)[:, None, None], np.arange(r)[None, :, None],
+                    P.T[:, None, :] - 1].reshape(m * r, n)
+    owner = np.repeat(np.arange(m), r) if per_example else 0
+    A[np.arange(m * r), n + owner] = -1.0
+    # one dot per row: a batched product sums in another order, which
+    # moves b_ub in the last bit
+    rhs = np.array([v @ b for vs, b in zip(rows, B) for v in vs])
+    c_obj = np.concatenate([np.zeros(n), np.ones(slacks)])
+    a_eq = np.concatenate([np.ones(n), np.zeros(slacks)])[None, :]
+    bounds = [(0, None)] * n + [(0 if per_example else None, None)] * slacks
+    res = linprog(c_obj, A_ub=A, b_ub=rhs, A_eq=a_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"game LP failed: {res.message}")
 
     lam = np.clip(res.x[:n], 0.0, None)
     lam /= lam.sum()
-    H_lam = sum(l * ind for l, ind in zip(lam, inds))
-    M = H_lam - B
-    upper = sum(max(0.0, max(float(v @ M[i]) for v in verts[i]))
-                for i in range(m))
+    H_lam = np.zeros((m, rows.shape[2]))
+    np.add.at(H_lam, (np.arange(m), P - 1), lam[:, None])
+    mu = np.clip(-res.ineqlin.marginals, 0.0, None).reshape(m, r)
+    cert = np.einsum("ir,irk->ik", mu, rows)
+    lower = float(cert[np.arange(m), P - 1].sum(axis=1).min()
+                  - (cert * B).sum())
+    return lam, H_lam, cert, lower, int(getattr(res, "nit", 0))
 
-    mu = np.clip(-res.ineqlin.marginals, 0.0, None)
-    cert = np.zeros((m, k))
-    for w, (i, v) in zip(mu, row_owner):
-        cert[i] += w * v
-    lower = min(float((cert * (ind - B)).sum()) for ind in inds)
+
+def solve_game(Hspace, cond, dataset, tol=1e-7):
+    """Value, mixture and achieving cost matrix of the condition game."""
+    if cond.baseline is None:
+        raise ValueError("MINIMAL has no single baseline; use is_boostable")
+    y = dataset.label_array - 1
+    B = cond.baseline.entries
+    rows = _vertex_rows(cond.family, dataset.k, y)
+    lam, H_lam, cert, lower, nit = _solve_lp(
+        prediction_matrix(Hspace, dataset), rows, B, per_example=True)
+    M = H_lam - B
+    upper = float(np.maximum(np.einsum("irk,ik->ir", rows, M).max(axis=1),
+                             0.0).sum())
     gap = max(0.0, upper - lower)
-    return GameValueReport(upper, lam, CostMatrix(cert, cond.family),
-                           int(getattr(res, "nit", 0)), gap, upper <= tol)
+    return GameValueReport(upper, lam, CostMatrix(cert, cond.family), nit,
+                           gap, upper <= tol)
 
 
 @dataclass(frozen=True)
@@ -208,45 +238,21 @@ class BoostabilityReport:
     gap: float
 
 
-def is_boostable(Hspace, dataset, iters=None, tol=1e-7):
+def is_boostable(Hspace, dataset, tol=1e-7):
     """Solve the separation game min_lambda max_{i, l != y_i}
     (H_lambda(i,l) - H_lambda(i,y_i)); margin > 0 means boostable."""
-    m, k, n = dataset.m, dataset.k, len(Hspace)
+    m, k = dataset.m, dataset.k
     y = dataset.label_array - 1
-    inds = [indicator(h.predict_all(dataset), k) for h in Hspace]
-
-    rows, owner = [], []
-    for i in range(m):
-        for l in range(k):
-            if l == y[i]:
-                continue
-            coef = np.zeros(n + 1)
-            coef[:n] = [ind[i, l] - ind[i, y[i]] for ind in inds]
-            coef[n] = -1.0
-            rows.append(coef)
-            owner.append((i, l))
-    c_obj = np.concatenate([np.zeros(n), [1.0]])
-    a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    res = linprog(c_obj, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
-                  A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * n + [(None, None)], method="highs")
-    if not res.success:
-        raise RuntimeError(f"separation LP failed: {res.message}")
-
-    lam = np.clip(res.x[:n], 0.0, None)
-    lam /= lam.sum()
-    H_lam = sum(l * ind for l, ind in zip(lam, inds))
+    # the rows e_l - e_y, l != y: the MR vertices, unscaled
+    rows = 2.0 * _vertex_rows("MR", k, y)
+    lam, H_lam, cert, lower, _ = _solve_lp(
+        prediction_matrix(Hspace, dataset), rows, np.zeros((m, k)),
+        per_example=False)
     wrong = H_lam.copy()
     wrong[np.arange(m), y] = -np.inf
     margin = float((H_lam[np.arange(m), y] - wrong.max(axis=1)).min())
 
-    mu = np.clip(-res.ineqlin.marginals, 0.0, None)
-    cert = np.zeros((m, k))
-    for w, (i, l) in zip(mu, owner):
-        cert[i, l] += w
-        cert[i, y[i]] -= w
     # -margin upper-bounds the game value, the certificate lower-bounds it
-    lower = min(float((cert * ind).sum()) for ind in inds)
     gap = max(0.0, (-margin) - lower)
     if margin > tol:
         verdict = "yes"
@@ -256,8 +262,8 @@ def is_boostable(Hspace, dataset, iters=None, tol=1e-7):
         verdict = "no"
     else:
         verdict = "undetermined"
-    return BoostabilityReport(verdict, margin, lam,
-                              CostMatrix(cert, "MR"), max(gap, 0.0))
+    return BoostabilityReport(verdict, margin, lam, CostMatrix(cert, "MR"),
+                              gap)
 
 
 # ---------------------------------------------------------------- fixtures

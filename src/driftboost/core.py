@@ -4,7 +4,7 @@ Labels live in {1..k} everywhere; arrays are 0-indexed, so column l-1
 holds label l. True labels are kept as given (no relabeling to 1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 
@@ -67,20 +67,10 @@ class TableClassifier(WeakClassifier):
         return self.predictions
 
 
-class ConstantClassifier(WeakClassifier):
-    def __init__(self, label):
-        self.label = int(label)
-
-    def __call__(self, row):
-        return self.label
-
-
-def indicator(predictions, k):
-    # 1_h as an m x k 0/1 matrix
-    predictions = np.asarray(predictions, dtype=int)
-    out = np.zeros((len(predictions), k))
-    out[np.arange(len(predictions)), predictions - 1] = 1.0
-    return out
+def prediction_matrix(Hspace, dataset):
+    """A finite classifier space as one (n, m) int array P[j, i] = h_j(x_i)."""
+    return np.array([h.predict_all(dataset) for h in Hspace],
+                    dtype=int).reshape(len(Hspace), dataset.m)
 
 
 @dataclass(frozen=True)

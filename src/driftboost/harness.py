@@ -147,11 +147,13 @@ def run_experiment(cfg):
         ftr[np.arange(train.m), ptr - 1] += r.alpha
         fte[np.arange(test.m), pte - 1] += r.alpha
         zcol = r.Z_prev if algo != "os" else r.extra.get("avg_potential", 0.0)
-        # re-assert the per-round contraction before writing; clamped
+        # re-check the per-round contraction before writing; clamped
         # separation rounds use a capped alpha and are exempt
         if algo != "os" and r.edge >= 0.0 and r.alpha < boosters.ALPHA_MAX:
             bound = r.Z_prev * math.sqrt(1.0 - min(r.edge, 1.0) ** 2) + 1e-9
-            assert r.Z_after <= bound, "Z contraction violated"
+            if r.Z_after > bound:
+                raise RuntimeError(f"round {r.t}: Z contraction violated "
+                                   f"({r.Z_after} > {bound})")
         lines.append("\t".join((str(r.t), fmt(r.edge), fmt(r.alpha),
                                 fmt(zcol), fmt(training_error(ftr, train)),
                                 fmt(training_error(fte, test)))))

@@ -154,26 +154,19 @@ class MinimalPotential:
             return 1.0 if max(diffs) >= 0 else 0.0
         return float(sum(math.exp(self.loss.eta * d) for d in diffs))
 
-    def _value(self, t, diffs):
-        key = (t, tuple(sorted(diffs, reverse=True)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        value, _ = self._value_degree(t, key[1])
-        return value
-
     def _value_degree(self, t, diffs):
         key = (t, tuple(sorted(diffs, reverse=True)))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if t == 0:
-            result = (self._loss_at(diffs), self.k)
+            result = (self._loss_at(key[1]), self.k)
         else:
             d = list(key[1])
-            child_true = self._value(t - 1, [x - 1 for x in d])
-            child_wrong = [self._value(t - 1, d[:j] + [d[j] + 1] + d[j + 1:])
-                           for j in range(self.k - 1)]
+            child_true = self._value_degree(t - 1, [x - 1 for x in d])[0]
+            child_wrong = [
+                self._value_degree(t - 1, d[:j] + [d[j] + 1] + d[j + 1:])[0]
+                for j in range(self.k - 1)]
             # stable sort by (value desc, label index asc); d is already in
             # descending order so equal child values keep label order
             order = sorted(range(self.k - 1), key=lambda j: (-child_wrong[j], j))

@@ -2,22 +2,16 @@
 finite space, greedy size-capped trees (cost or information-gain
 splitting), and stumps."""
 
-import math
-
 import numpy as np
 
-from .core import CostMatrix, WeakClassifier
+from .core import CostMatrix, WeakClassifier, prediction_matrix
 
 
 def best_response(Hspace, C, dataset):
     """argmin_h C.1_h; ties go to the lowest index."""
     c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-    m = dataset.m
-    costs = []
-    for h in Hspace:
-        preds = h.predict_all(dataset)
-        costs.append(c[np.arange(m), preds - 1].sum())
-    costs = np.asarray(costs)
+    P = prediction_matrix(Hspace, dataset)
+    costs = c[np.arange(dataset.m), P - 1].sum(axis=1)
     # lowest index among near-minimal costs: exact mathematical ties must
     # not be broken by float summation noise, so the window is relative
     # to the cost scale (which shrinks with the weights)

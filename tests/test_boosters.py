@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftboost import boosters as bst
 from driftboost import conditions as cnd
@@ -10,7 +12,8 @@ from driftboost import potentials as pot
 from driftboost.core import (ScoringFunction, TableClassifier, exp_risk,
                              indexed_dataset, training_error)
 from driftboost.harness import random_dataset_space
-from driftboost.weaklearners import BestResponseLearner, FullSpaceBestResponse
+from driftboost.weaklearners import (BestResponseLearner,
+                                     FullSpaceBestResponse, best_response)
 
 ZO = pot.LossSpec(pot.ZERO_ONE)
 
@@ -222,6 +225,41 @@ class TestRunEquivalence:
                                             rng.randrange(2, 7))
             ok, why = bst.check_run_equivalence(d, space, 40)
             assert ok, why
+
+
+@st.composite
+def finite_spaces(draw):
+    """(dataset, space, cost matrix) with m, n <= 8 and k <= 4; integer
+    costs keep every sum exact, so ties are exact ties."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    label = st.integers(1, k)
+    labels = draw(st.lists(label, min_size=m, max_size=m))
+    preds = draw(st.lists(st.lists(label, min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    costs = draw(st.lists(st.integers(-3, 3), min_size=m * k,
+                          max_size=m * k))
+    return (indexed_dataset(labels, k), [TableClassifier(p) for p in preds],
+            np.array(costs, dtype=float).reshape(m, k))
+
+
+class TestFiniteSpaceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(finite_spaces())
+    def test_matches_per_classifier_definitions(self, case):
+        d, space, C = case
+        costs = [sum(C[i, h(row) - 1] for i, row in enumerate(d.features))
+                 for h in space]
+        assert best_response(space, C, d) is space[costs.index(min(costs))]
+
+        mis, tspace = bst.transform_mislabel(d, space)
+        for h, ht in zip(space, tspace):
+            for (i, y, l), v in zip(mis.triples, ht.values(mis)):
+                p = h(d.features[i])
+                assert v == float(p == l) - float(p == y)
+
+        assert bst.check_run_equivalence(d, space, 10) == (True, "ok")
 
 
 class TestOsBooster:

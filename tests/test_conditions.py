@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from driftboost import conditions as cnd
-from driftboost.core import CostMatrix, TableClassifier, indexed_dataset
+from driftboost.core import (Baseline, CostMatrix, TableClassifier,
+                             indexed_dataset)
 from driftboost.harness import random_dataset_space
 
 
@@ -105,6 +106,21 @@ class TestSolveGame:
             assert rep.gap >= 0.0
             assert rep.gap < 1e-6  # exact LP: certificates nearly meet
             assert rep.cost_matrix.validate(d.labels, tol=1e-7)
+
+    def test_report_rejects_broken_invariants(self):
+        cost = CostMatrix(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="sum to 1"):
+            cnd.GameValueReport(0.0, np.array([0.5, 0.4]), cost, 0, 0.0, True)
+        with pytest.raises(ValueError, match="gap"):
+            cnd.GameValueReport(0.0, np.array([0.5, 0.5]), cost, 0, -1e-3,
+                                True)
+
+    def test_empty_space_rejected(self, figure_one):
+        d, _ = figure_one
+        with pytest.raises(ValueError, match="empty"):
+            cnd.solve_game([], cnd.make_condition("MR", 0.1, d), d)
+        with pytest.raises(ValueError, match="empty"):
+            cnd.is_boostable([], d)
 
     def test_minimal_has_no_single_game(self, figure_one):
         d, space = figure_one
@@ -240,3 +256,118 @@ class TestEquivalences:
                 assert not g.satisfied
                 checked += 1
         assert checked >= 10
+
+
+def capture_lps(monkeypatch):
+    """Record the keyword arguments of every linprog call."""
+    calls = []
+
+    def spy(c, **kwargs):
+        calls.append(dict(kwargs, c=np.array(c)))
+        return real(c, **kwargs)
+
+    real = cnd.linprog
+    monkeypatch.setattr(cnd, "linprog", spy)
+    return calls
+
+
+def random_eor_rows(rng, labels, k, gamma):
+    """Baseline rows in Delta_gamma^k: random wrong-label mass, then
+    b(y) = max wrong + gamma and the row scaled to sum to 1."""
+    rows = np.empty((len(labels), k))
+    for i, y in enumerate(labels):
+        wrong = rng.uniform(0.1, 1.0, k - 1)
+        wrong *= (1.0 - gamma) / (wrong.sum() + wrong.max())
+        rows[i] = np.insert(wrong, y - 1, wrong.max() + gamma)
+    return rows
+
+
+def game_lp_per_row(space, d, family, B):
+    """The condition-game LP built one row at a time: a constraint per
+    (example, vertex) with coefficients v . 1_h(x_i), one slack per
+    example."""
+    m, k, n = d.m, d.k, len(space)
+    y = d.label_array - 1
+    preds = [h.predict_all(d) for h in space]
+    rows, rhs = [], []
+    for i in range(m):
+        for v in cnd._row_vertices(family, k, y[i]):
+            coef = np.zeros(n + m)
+            coef[:n] = [v @ np.eye(k)[p[i] - 1] for p in preds]
+            coef[n + i] = -1.0
+            rows.append(coef)
+            rhs.append(v @ B[i])
+    return (np.array(rows), np.array(rhs),
+            np.concatenate([np.zeros(n), np.ones(m)]),
+            [(0, None)] * (n + m))
+
+
+def separation_lp_per_row(space, d):
+    """The separation LP built one row at a time: a constraint per
+    (example, wrong label l) with coefficients 1[h = l] - 1[h = y], one
+    shared free slack."""
+    m, k, n = d.m, d.k, len(space)
+    preds = [h.predict_all(d) for h in space]
+    rows = []
+    for i, y in enumerate(d.labels):
+        for l in range(1, k + 1):
+            if l != y:
+                coef = np.zeros(n + 1)
+                coef[:n] = [float(p[i] == l) - float(p[i] == y)
+                            for p in preds]
+                coef[n] = -1.0
+                rows.append(coef)
+    return (np.array(rows), np.zeros(len(rows)),
+            np.concatenate([np.zeros(n), [1.0]]),
+            [(0, None)] * n + [(None, None)])
+
+
+class TestLpInputs:
+    """The LPs handed to the solver equal their row-by-row definitions."""
+
+    CASES = [(2, 2, 3), (5, 3, 4), (7, 4, 6), (8, 4, 8)]  # (m, k, n)
+    NAMES = ("SAMME", "M1", "MH", "MR", "EOR-fixed")
+
+    def check(self, got, want):
+        A, b, c, bounds = want
+        assert np.array_equal(got["A_ub"], A)
+        assert np.array_equal(got["b_ub"], b)
+        assert np.array_equal(got["c"], c)
+        assert np.array_equal(got["A_eq"],
+                              (c == 0.0).astype(float)[None, :])
+        assert list(got["b_eq"]) == [1.0]
+        assert list(got["bounds"]) == bounds
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_condition_games(self, name, monkeypatch):
+        rng = random.Random(31)
+        for m, k, n in self.CASES:
+            d, space = random_dataset_space(rng, m, k, n)
+            cond = cnd.make_condition(name, 0.1, d)
+            calls = capture_lps(monkeypatch)
+            cnd.solve_game(space, cond, d)
+            (got,) = calls
+            self.check(got, game_lp_per_row(space, d, cond.family,
+                                             cond.baseline.entries))
+
+    def test_eor_game_with_own_baseline(self, monkeypatch):
+        rng = random.Random(37)
+        nrng = np.random.default_rng(37)
+        for m, k, n in self.CASES:
+            d, space = random_dataset_space(rng, m, k, n)
+            rows = random_eor_rows(nrng, d.labels, k, 0.1)
+            cond = cnd.make_condition("EOR-fixed", 0.1, d,
+                                      Baseline(rows, "EOR", 0.1))
+            calls = capture_lps(monkeypatch)
+            cnd.solve_game(space, cond, d)
+            (got,) = calls
+            self.check(got, game_lp_per_row(space, d, "EOR", rows))
+
+    def test_separation_game(self, monkeypatch):
+        rng = random.Random(41)
+        for m, k, n in self.CASES:
+            d, space = random_dataset_space(rng, m, k, n)
+            calls = capture_lps(monkeypatch)
+            cnd.is_boostable(space, d)
+            (got,) = calls
+            self.check(got, separation_lp_per_row(space, d))

@@ -237,3 +237,25 @@ class TestCli:
         window_csv(data, 11, 0.1)
         assert cli.main(["train", str(data), "--rounds", "3"]) == 0
         assert (tmp_path / "envout" / "model.json").exists()
+
+    def test_z_contraction_violation_is_an_error(self, tmp_path,
+                                                 monkeypatch, capsys):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        real = hz.boosters.adaboost_mm
+
+        def grows_z(*args, **kwargs):
+            run = real(*args, **kwargs)
+            first = run.rounds[0]
+            assert first.edge >= 0.0
+            assert first.alpha < hz.boosters.ALPHA_MAX
+            first.Z_after = 2.0 * first.Z_prev
+            return run
+
+        monkeypatch.setattr(hz.boosters, "adaboost_mm", grows_z)
+        rc = cli.main(["train", str(data), "--rounds", "3",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: round 1: Z contraction violated")
+        assert "Traceback" not in err

@@ -101,7 +101,7 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX", alpha_max=ALPHA_MAX):
     if step_rule not in ("APPROX", "EXACT"):
         raise ValueError("step_rule must be APPROX or EXACT")
     m, k = dataset.m, dataset.k
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     f = np.zeros((m, k))
     rounds, prov = [], []
     separated = False
@@ -153,7 +153,7 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     if not isinstance(baseline, Baseline) or baseline.kind not in ("EOR", "U"):
         raise ValueError("OS booster needs an edge-over-random baseline")
     m, k = dataset.m, dataset.k
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     order = [np.concatenate(([y[i]], np.delete(np.arange(k), y[i])))
              for i in range(m)]
     brows = [tuple(baseline.entries[i][order[i]]) for i in range(m)]
@@ -238,9 +238,8 @@ class TransformedClassifier:
 
 
 def transform_mislabel(dataset, Hspace):
-    triples = tuple((i, int(dataset.labels[i]), l)
-                    for i in range(dataset.m)
-                    for l in range(1, dataset.k + 1) if l != dataset.labels[i])
+    triples = tuple((i, y, l) for i, y in enumerate(dataset.labels.tolist())
+                    for l in range(1, dataset.k + 1) if l != y)
     mislabel = MislabelDataset(triples, dataset)
     P = prediction_matrix(Hspace, dataset)
     transformed = [TransformedClassifier(h, P[j], j)
@@ -297,7 +296,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     mislabel, transformed = transform_mislabel(dataset, Hspace)
     bin_run = adaboost_binary(mislabel, transformed, T)
 
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     ti, ty, tl = mislabel.columns
     if len(mm.rounds) != len(bin_run.rounds):
         return False, "round counts differ"

@@ -37,28 +37,28 @@ def uniform_baseline(dataset, gamma):
     """U_gamma: (1-gamma)/k everywhere plus gamma on the true label."""
     m, k = dataset.m, dataset.k
     entries = np.full((m, k), (1.0 - gamma) / k)
-    entries[np.arange(m), dataset.label_array - 1] += gamma
+    entries[np.arange(m), dataset.labels - 1] += gamma
     return Baseline(entries, "U", gamma)
 
 
 def m1_baseline(dataset, gamma):
     m, k = dataset.m, dataset.k
     entries = np.zeros((m, k))
-    entries[np.arange(m), dataset.label_array - 1] = gamma
+    entries[np.arange(m), dataset.labels - 1] = gamma
     return Baseline(entries, "M1", gamma)
 
 
 def mh_baseline(dataset, gamma):
     m, k = dataset.m, dataset.k
     entries = np.full((m, k), 0.5 - gamma / 2.0)
-    entries[np.arange(m), dataset.label_array - 1] = 0.5 + gamma / 2.0
+    entries[np.arange(m), dataset.labels - 1] = 0.5 + gamma / 2.0
     return Baseline(entries, "MH", gamma)
 
 
 def mr_baseline(dataset, gamma):
     m, k = dataset.m, dataset.k
     entries = np.full((m, k), -gamma / 2.0)
-    entries[np.arange(m), dataset.label_array - 1] = gamma / 2.0
+    entries[np.arange(m), dataset.labels - 1] = gamma / 2.0
     return Baseline(entries, "MR", gamma)
 
 
@@ -66,7 +66,7 @@ def eor_baseline(dataset, rows, gamma):
     """Baseline with every row in Delta_gamma^k (true-label convention
     already applied: rows are over labels, not reordered)."""
     entries = np.asarray(rows, dtype=float)
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     for i in range(dataset.m):
         row = entries[i]
         if row.min() < -1e-12 or abs(row.sum() - 1.0) > 1e-9:
@@ -216,7 +216,7 @@ def solve_game(Hspace, cond, dataset, tol=1e-7):
     """Value, mixture and achieving cost matrix of the condition game."""
     if cond.baseline is None:
         raise ValueError("MINIMAL has no single baseline; use is_boostable")
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     B = cond.baseline.entries
     rows = _vertex_rows(cond.family, dataset.k, y)
     lam, H_lam, cert, lower, nit = _solve_lp(
@@ -242,7 +242,7 @@ def is_boostable(Hspace, dataset, tol=1e-7):
     """Solve the separation game min_lambda max_{i, l != y_i}
     (H_lambda(i,l) - H_lambda(i,y_i)); margin > 0 means boostable."""
     m, k = dataset.m, dataset.k
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     # the rows e_l - e_y, l != y: the MR vertices, unscaled
     rows = 2.0 * _vertex_rows("MR", k, y)
     lam, H_lam, cert, lower, _ = _solve_lp(
@@ -291,7 +291,7 @@ def window_fixture(m, gamma_prime, k=3, baseline=None):
         if gamma >= 1.0:
             raise ValueError("k * gamma_prime must stay below 1")
         baseline = uniform_baseline(dataset, gamma)
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     yhat = np.empty(m, dtype=int)
     for i in range(m):
         row = baseline.entries[i].copy()

@@ -1,5 +1,9 @@
 """Shared domain types: datasets, classifiers, states, scores.
 
+A Dataset is columnar: one 1-D array per feature, whose dtype is the
+column's kind, and one int label array; row subsets index every array
+with the same index. Classifiers predict a whole dataset at once.
+
 Labels live in {1..k} everywhere; arrays are 0-indexed, so column l-1
 holds label l. True labels are kept as given (no relabeling to 1).
 """
@@ -8,60 +12,74 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+def is_numeric(column):
+    """Int or float dtype: numeric; str dtype: categorical."""
+    return column.dtype.kind in "iuf"
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    features: tuple  # tuple of feature rows (tuples; numeric or str entries)
-    labels: tuple    # labels in {1..k}
+    columns: tuple      # one 1-D array per feature (numeric or str dtype)
+    labels: np.ndarray  # int labels in {1..k}
     k: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one example")
+        columns = tuple(np.asarray(col) for col in self.columns)
+        labels = np.asarray(self.labels, dtype=int)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
+        if labels.ndim != 1 or self.m < 1:
+            raise ValueError("need a 1-D label array, at least one example")
         if self.k < 2:
             raise ValueError("need k >= 2 classes")
-        if len(self.features) != len(self.labels):
-            raise ValueError("features/labels length mismatch")
-        for y in self.labels:
-            if not (1 <= y <= self.k):
-                raise ValueError(f"label {y} outside 1..{self.k}")
-        arity = len(self.features[0])
-        for row in self.features:
-            if len(row) != arity:
-                raise ValueError("ragged feature rows")
+        bad = (labels < 1) | (labels > self.k)
+        if bad.any():
+            raise ValueError(f"label {labels[bad][0]} outside 1..{self.k}")
+        for j, col in enumerate(columns):
+            kind_ok = is_numeric(col) or col.dtype.kind == "U"
+            if col.shape != labels.shape or not kind_ok:
+                raise ValueError(f"column {j} is not {self.m} numeric or "
+                                 "str values")
 
     @property
     def m(self):
         return len(self.labels)
 
     @property
-    def label_array(self):
-        return np.asarray(self.labels, dtype=int)
+    def features(self):
+        """Row tuples of Python scalars, rebuilt from the columns."""
+        return tuple(zip(*(col.tolist() for col in self.columns)))
+
+    def subset(self, idx):
+        """The examples idx, in that order."""
+        idx = np.asarray(idx, dtype=int)
+        return Dataset(tuple(col[idx] for col in self.columns),
+                       self.labels[idx], self.k)
 
 
 def indexed_dataset(labels, k):
     """Dataset whose single feature is the example index (fixture helper)."""
-    labels = tuple(int(y) for y in labels)
-    return Dataset(tuple((i,) for i in range(len(labels))), labels, k)
+    return Dataset((np.arange(len(labels)),), labels, k)
 
 
 class WeakClassifier:
-    """Deterministic map from feature row to a label in {1..k}."""
+    """Deterministic map from examples to labels in {1..k}; trees write
+    the labels of rows idx into out by route(dataset, idx, out)."""
 
-    def __call__(self, row):
+    def route(self, dataset, idx, out):
         raise NotImplementedError
 
     def predict_all(self, dataset):
-        return np.array([self(row) for row in dataset.features], dtype=int)
+        out = np.empty(dataset.m, dtype=int)
+        self.route(dataset, np.arange(dataset.m), out)
+        return out
 
 
 class TableClassifier(WeakClassifier):
-    """Fixed predictions indexed by the example-id feature (fixtures)."""
+    """Fixed predictions, one per example (fixtures)."""
 
     def __init__(self, predictions):
         self.predictions = np.asarray(predictions, dtype=int)
-
-    def __call__(self, row):
-        return int(self.predictions[int(row[0])])
 
     def predict_all(self, dataset):
         return self.predictions
@@ -98,12 +116,6 @@ class ScoringFunction:
     def zero(k):
         return ScoringFunction((), k)
 
-    def scores(self, row):
-        s = np.zeros(self.k)
-        for h, alpha in self.provenance:
-            s[h(row) - 1] += alpha
-        return s
-
     def score_table(self, dataset):
         f = np.zeros((dataset.m, dataset.k))
         for h, alpha in self.provenance:
@@ -112,21 +124,19 @@ class ScoringFunction:
         return f
 
 
-def plurality_predict(F, row):
-    """argmax_l F(x,l); ties go to the lowest label index."""
-    return int(np.argmax(F.scores(row))) + 1
+def plurality_predict(F, dataset):
+    """argmax_l F(x_i,l) per example; ties go to the lowest label."""
+    return np.argmax(_score_table(F, dataset), axis=1) + 1
 
 
 def _score_table(F, dataset):
-    if isinstance(F, np.ndarray):
-        return F
-    return F.score_table(dataset)
+    return F if isinstance(F, np.ndarray) else F.score_table(dataset)
 
 
 def training_error(F, dataset):
     """Fraction of examples with F(x,y) <= max wrong score (ties count)."""
     f = _score_table(F, dataset)
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     own = f[np.arange(dataset.m), y]
     masked = f.copy()
     masked[np.arange(dataset.m), y] = -np.inf
@@ -134,22 +144,21 @@ def training_error(F, dataset):
 
 
 def exp_risk(F, dataset):
-    """(1/m) sum_i sum_{l != y_i} exp(F(x_i,l) - F(x_i,y_i))."""
+    """(1/m) sum_i sum_{l != y_i} exp(F(x_i,l) - F(x_i,y_i)); the row terms
+    are added in ascending order, so the row order does not matter."""
     f = _score_table(F, dataset)
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     d = f - f[np.arange(dataset.m), y][:, None]
     d[np.arange(dataset.m), y] = -np.inf
-    hi = d.max(axis=1)
-    total = 0.0
-    for i in range(dataset.m):
-        if hi[i] > 700.0:
-            # max-shift to avoid intermediate overflow; a genuinely huge
-            # risk still becomes inf, deliberately
-            with np.errstate(over="ignore"):
-                total += np.exp(hi[i] + np.log(np.exp(d[i] - hi[i]).sum()))
-        else:
-            total += np.exp(d[i]).sum()
-    return float(total / dataset.m)
+    hi = d.max(axis=1, keepdims=True)
+    big = hi[:, 0] > 700.0
+    with np.errstate(over="ignore"):
+        terms = np.exp(d).sum(axis=1)
+        # max-shift to avoid intermediate overflow; a genuinely huge
+        # risk still becomes inf, deliberately
+        shifted = np.exp(d[big] - hi[big]).sum(axis=1)
+        terms[big] = np.exp(hi[big, 0] + np.log(shifted))
+    return float(np.sort(terms).sum() / dataset.m)
 
 
 _FAMILIES = ("EOR", "SAM", "M1", "MH", "MR", "UNCONSTRAINED")

@@ -13,7 +13,8 @@ import random
 import numpy as np
 
 from . import boosters, conditions, potentials, weaklearners
-from .core import Dataset, ScoringFunction, exp_risk, training_error
+from .core import (Dataset, ScoringFunction, exp_risk, is_numeric,
+                   training_error)
 from .potentials import EXP, ZERO_ONE, LossSpec
 
 
@@ -21,16 +22,32 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def load_csv(path, label_column=None):
-    """Parse a headered CSV: numeric columns as reals, the rest as
-    categories; labels mapped to 1..k by first appearance.
+def _parse_column(name, cells):
+    """float() on every cell, or a categorical (str) column if any cell
+    fails; non-finite numbers are rejected."""
+    try:
+        values = np.array([float(v) for v in cells])
+    except ValueError:
+        return np.array(cells, dtype=str)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = cells[int(np.argmin(finite))]
+        raise ValueError(f"column {name!r}: non-finite value {bad!r}")
+    return values
+
+
+def load_csv(path, label_column=None, label_map=None):
+    """Parse a headered CSV into a columnar Dataset: each feature column
+    is numeric (float) if every cell parses as a finite float, else
+    categorical (str). Labels are numbered 1..k by first appearance, or
+    by `label_map` (name -> number, k = its size) when given, e.g. a
+    trained model's; a label it lacks is a ValueError.
 
     Returns (dataset, meta) with meta = {label_map, columns, kinds}."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
         raw = []
         for ln, row in enumerate(reader, start=2):
@@ -45,37 +62,25 @@ def load_csv(path, label_column=None):
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header")
     li = header.index(label_column)
+    names = [row[li] for row in raw]
+    if label_map is None:
+        label_map = {}
+        for v in names:
+            label_map.setdefault(v, len(label_map) + 1)
+        if len(label_map) < 2:
+            raise ValueError("dataset has a single class; need k >= 2")
+    unknown = set(names) - label_map.keys()
+    if unknown:
+        raise ValueError(f"{path}: unknown label {min(unknown)!r}")
     feat_cols = [j for j in range(len(header)) if j != li]
-
-    def numericable(j):
-        for row in raw:
-            try:
-                float(row[j])
-            except ValueError:
-                return False
-        return True
-
-    kinds = {header[j]: ("numeric" if numericable(j) else "categorical")
-             for j in feat_cols}
-    label_map = {}
-    labels = []
-    for row in raw:
-        v = row[li]
-        if v not in label_map:
-            label_map[v] = len(label_map) + 1
-        labels.append(label_map[v])
-    if len(label_map) < 2:
-        raise ValueError("dataset has a single class; need k >= 2")
-    features = []
-    for row in raw:
-        frow = []
-        for j in feat_cols:
-            frow.append(float(row[j]) if kinds[header[j]] == "numeric"
-                        else row[j])
-        features.append(tuple(frow))
-    dataset = Dataset(tuple(features), tuple(labels), len(label_map))
+    columns = tuple(_parse_column(header[j], [row[j] for row in raw])
+                    for j in feat_cols)
+    dataset = Dataset(columns, [label_map[v] for v in names], len(label_map))
     meta = {"label_map": label_map,
-            "columns": [header[j] for j in feat_cols], "kinds": kinds}
+            "columns": [header[j] for j in feat_cols],
+            "kinds": {header[j]: "numeric" if is_numeric(col)
+                      else "categorical"
+                      for j, col in zip(feat_cols, columns)}}
     return dataset, meta
 
 
@@ -84,10 +89,7 @@ def split_dataset(dataset, ratio, seed):
     idx = list(range(dataset.m))
     random.Random(seed).shuffle(idx)
     cut = max(1, min(dataset.m - 1, int(round(dataset.m * ratio))))
-    take = lambda part: Dataset(
-        tuple(dataset.features[i] for i in part),
-        tuple(dataset.labels[i] for i in part), dataset.k)
-    return take(idx[:cut]), take(idx[cut:])
+    return dataset.subset(idx[:cut]), dataset.subset(idx[cut:])
 
 
 def _make_learner(name, tree_size):
@@ -183,13 +185,11 @@ def run_experiment(cfg):
 
 
 def eval_model(model_path, data_path, label_column=None):
-    """Metrics of a serialized model on a fresh CSV (same label map)."""
+    """Metrics of a serialized model on a CSV with the same feature
+    columns; labels are numbered by the model's label names."""
     with open(model_path) as fh:
         model = json.load(fh)
-    dataset, meta = load_csv(data_path, label_column)
-    if meta["label_map"] != model["label_map"]:
-        # remap through the stored label map when names agree
-        raise ValueError("label map mismatch between model and data")
+    dataset, _ = load_csv(data_path, label_column, model["label_map"])
     prov = tuple((weaklearners.tree_from_dict(r["tree"]), r["alpha"])
                  for r in model["rounds"])
     F = ScoringFunction(prov, model["k"])
@@ -259,8 +259,9 @@ def write_fixture_files(outdir):
     def dump(name, dataset, space, cost=None):
         with open(os.path.join(outdir, f"{name}.csv"), "w") as fh:
             fh.write("x,label\n")
-            for row, yv in zip(dataset.features, dataset.labels):
-                fh.write(f"{row[0]},{yv}\n")
+            for x, yv in zip(dataset.columns[0].tolist(),
+                             dataset.labels.tolist()):
+                fh.write(f"{x},{yv}\n")
         with open(os.path.join(outdir, f"{name}_classifiers.tsv"), "w") as fh:
             fh.write("# one row per classifier; columns = predictions\n")
             for h in space:

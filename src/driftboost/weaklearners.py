@@ -4,7 +4,7 @@ splitting), and stumps."""
 
 import numpy as np
 
-from .core import CostMatrix, WeakClassifier, prediction_matrix
+from .core import CostMatrix, WeakClassifier, is_numeric, prediction_matrix
 
 
 def best_response(Hspace, C, dataset):
@@ -44,16 +44,12 @@ class FullSpaceBestResponse:
 
 # ------------------------------------------------------------------ trees
 
-class TreeNode(WeakClassifier):
-    pass
-
-
-class Leaf(TreeNode):
+class Leaf(WeakClassifier):
     def __init__(self, label):
         self.label = int(label)
 
-    def __call__(self, row):
-        return self.label
+    def route(self, dataset, idx, out):
+        out[idx] = self.label
 
     @property
     def size(self):
@@ -63,7 +59,7 @@ class Leaf(TreeNode):
         return {"leaf": self.label}
 
 
-class Split(TreeNode):
+class Split(WeakClassifier):
     """Binary split: numeric columns by `value <= threshold`, categorical
     by `value == category` (single category vs rest)."""
 
@@ -74,14 +70,20 @@ class Split(TreeNode):
         self.left = left
         self.right = right
 
-    def _go_left(self, value):
-        if self.numeric:
-            return value <= self.threshold
-        return value == self.threshold
-
-    def __call__(self, row):
-        child = self.left if self._go_left(row[self.feature]) else self.right
-        return child(row)
+    def route(self, dataset, idx, out):
+        if not 0 <= self.feature < len(dataset.columns):
+            raise ValueError(f"split on column {self.feature}, but the data "
+                             f"has {len(dataset.columns)} feature columns")
+        column = dataset.columns[self.feature]
+        if is_numeric(column) != self.numeric:
+            kind = "numeric" if self.numeric else "categorical"
+            raise ValueError(f"model splits column {self.feature} as "
+                             f"{kind}, but it is not {kind} in the data")
+        values = column[idx]
+        left = (values <= self.threshold if self.numeric
+                else values == self.threshold)
+        self.left.route(dataset, idx[left], out)
+        self.right.route(dataset, idx[~left], out)
 
     @property
     def size(self):
@@ -98,14 +100,6 @@ def tree_from_dict(d):
         return Leaf(d["leaf"])
     return Split(d["feature"], d["threshold"], d["numeric"],
                  tree_from_dict(d["left"]), tree_from_dict(d["right"]))
-
-
-def _column_kinds(dataset):
-    kinds = []
-    for j in range(len(dataset.features[0])):
-        kinds.append(all(isinstance(r[j], (int, float, np.integer, np.floating))
-                         for r in dataset.features))
-    return kinds
 
 
 def _leaf_score_cost(members, c):
@@ -129,34 +123,24 @@ def _leaf_score_info(members, y, k):
     return _entropy(counts) * len(members), label
 
 
-def _candidate_splits(dataset, members, kinds):
-    for j, numeric in enumerate(kinds):
-        values = [dataset.features[i][j] for i in members]
-        distinct = sorted(set(values))
-        if len(distinct) < 2:
-            continue
-        if numeric:
-            for a, b in zip(distinct, distinct[1:]):
-                yield j, (a + b) / 2.0, True
-        else:
-            for cat in distinct:
-                yield j, cat, False
-
-
 def greedy_tree(dataset, C, max_size, criterion="COST"):
     """Grow a binary tree greedily until max_size nodes or no improving
     split; COST leaves minimize summed cost, INFO_GAIN leaves take the
-    majority label and splits maximize entropy reduction."""
+    majority label and splits maximize entropy reduction.
+
+    Each node holds its members as an ascending index array. A leaf's
+    candidates are, per column, the midpoints between its sorted distinct
+    numeric values or each of its categories. Candidates are tried in
+    (leaf DFS, column, candidate) order, and one replaces the best so far
+    only if its gain is larger by more than 1e-12."""
     if criterion not in ("COST", "INFO_GAIN"):
         raise ValueError("criterion must be COST or INFO_GAIN")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-    y = dataset.label_array
-    kinds = _column_kinds(dataset)
+    y = dataset.labels
 
     def leaf_score(members):
-        members = np.asarray(members, dtype=int)
         if criterion == "COST":
             return _leaf_score_cost(members, c)
         return _leaf_score_info(members, y, dataset.k)
@@ -184,27 +168,32 @@ def greedy_tree(dataset, C, max_size, criterion="COST"):
             return Split(j, thr, numeric,
                          self.left.freeze(), self.right.freeze())
 
-    root = Work(list(range(dataset.m)))
+    root = Work(np.arange(dataset.m))
     size = 1
     while size + 2 <= max_size:
         best = None  # (gain, leaf, split, left Work, right Work)
         for leaf in root.leaves():
-            for j, thr, numeric in _candidate_splits(dataset, leaf.members,
-                                                     kinds):
-                if numeric:
-                    left = [i for i in leaf.members
-                            if dataset.features[i][j] <= thr]
-                else:
-                    left = [i for i in leaf.members
-                            if dataset.features[i][j] == thr]
-                if not left or len(left) == len(leaf.members):
+            for j, column in enumerate(dataset.columns):
+                values = column[leaf.members]
+                distinct = np.unique(values)
+                if len(distinct) < 2:
                     continue
-                chosen = set(left)
-                right = [i for i in leaf.members if i not in chosen]
-                lw, rw = Work(left), Work(right)
-                gain = leaf.score - (lw.score + rw.score)
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                    best = (gain, leaf, (j, thr, numeric), lw, rw)
+                numeric = is_numeric(column)
+                # midpoints or categories, as plain Python scalars so
+                # that to_dict() holds JSON types
+                candidates = ((distinct[:-1] + distinct[1:]) / 2.0
+                              if numeric else distinct)
+                for thr in candidates.tolist():
+                    left = values <= thr if numeric else values == thr
+                    n_left = np.count_nonzero(left)
+                    if n_left == 0 or n_left == len(values):
+                        continue
+                    lw = Work(leaf.members[left])
+                    rw = Work(leaf.members[~left])
+                    gain = leaf.score - (lw.score + rw.score)
+                    if gain > 1e-12 and (best is None
+                                         or gain > best[0] + 1e-12):
+                        best = (gain, leaf, (j, thr, numeric), lw, rw)
         if best is None:
             break
         _, leaf, split, lw, rw = best

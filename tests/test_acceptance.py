@@ -25,7 +25,7 @@ from driftboost import boosters as bst
 from driftboost import conditions as cnd
 from driftboost import harness as hz
 from driftboost import potentials as pot
-from driftboost.core import exp_risk, indexed_dataset, training_error
+from driftboost.core import exp_risk, training_error
 from driftboost.weaklearners import BestResponseLearner
 
 ZO = pot.LossSpec(pot.ZERO_ONE)

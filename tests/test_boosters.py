@@ -22,7 +22,7 @@ def window_eor_baseline(dataset, m, gamma_prime, k=3):
     """Baseline the window space meets with equality: w/m on the true
     label, (m-w)/m on the fallback wrong label."""
     w = math.floor(m * (0.5 + gamma_prime))
-    y = dataset.label_array - 1
+    y = dataset.labels - 1
     rows = np.zeros((m, k))
     rows[np.arange(m), y] = w / m
     for i in range(m):
@@ -106,24 +106,24 @@ class TestEdgeMinimal:
     def test_always_correct_is_one(self):
         d = indexed_dataset([1, 2, 1], 2)
         f = np.zeros((3, 2))
-        y = d.label_array - 1
+        y = d.labels - 1
         e = np.exp(f - f[np.arange(3), y][:, None])
         e[np.arange(3), y] = 0.0
         C = e.copy()
         C[np.arange(3), y] = -e.sum(axis=1)
-        assert bst.edge_minimal(C, d.label_array, f, d.labels) == \
+        assert bst.edge_minimal(C, d.labels, f, d.labels) == \
             pytest.approx(1.0)
 
     def test_fixed_wrong_label(self):
         k, m = 4, 5
         d = indexed_dataset([1] * (m - 1) + [2], k)
         f = np.zeros((m, k))
-        y = d.label_array - 1
+        y = d.labels - 1
         e = np.ones((m, k))
         e[np.arange(m), y] = 0.0
         C = e.copy()
         C[np.arange(m), y] = -(k - 1)
-        preds = np.where(d.label_array == 3, 4, 3)  # always wrong
+        preds = np.where(d.labels == 3, 4, 3)  # always wrong
         got = bst.edge_minimal(C, preds, f, d.labels)
         assert got == pytest.approx(-1.0 / (k - 1))
 
@@ -132,7 +132,7 @@ class TestEdgeMinimal:
         for _ in range(20):
             m, k = 6, 3
             d = indexed_dataset(rng.integers(1, k + 1, m), k)
-            y = d.label_array - 1
+            y = d.labels - 1
             f = rng.normal(size=(m, k))
             e = np.exp(f - f[np.arange(m), y][:, None])
             e[np.arange(m), y] = 0.0
@@ -249,14 +249,15 @@ class TestFiniteSpaceProperty:
     @given(finite_spaces())
     def test_matches_per_classifier_definitions(self, case):
         d, space, C = case
-        costs = [sum(C[i, h(row) - 1] for i, row in enumerate(d.features))
+        ids = d.columns[0].tolist()  # a table classifier reads this column
+        costs = [sum(C[i, h.predictions[x] - 1] for i, x in enumerate(ids))
                  for h in space]
         assert best_response(space, C, d) is space[costs.index(min(costs))]
 
         mis, tspace = bst.transform_mislabel(d, space)
         for h, ht in zip(space, tspace):
             for (i, y, l), v in zip(mis.triples, ht.values(mis)):
-                p = h(d.features[i])
+                p = h.predictions[ids[i]]
                 assert v == float(p == l) - float(p == y)
 
         assert bst.check_run_equivalence(d, space, 10) == (True, "ok")

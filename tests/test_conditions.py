@@ -53,7 +53,7 @@ class TestMakeCondition:
         d = indexed_dataset([1, 3, 2], 3)
         c = cnd.make_condition("EOR-fixed", 0.25, d)
         e = c.baseline.entries
-        y = d.label_array - 1
+        y = d.labels - 1
         for i in range(3):
             assert e[i].sum() == pytest.approx(1.0)
             assert e[i].min() >= 0
@@ -147,7 +147,7 @@ class TestIsBoostable:
         H = np.zeros((d.m, d.k))
         for lam, preds in zip(rep.mixture, inds):
             H[np.arange(d.m), preds - 1] += lam
-        y = d.label_array - 1
+        y = d.labels - 1
         wrong = H.copy()
         wrong[np.arange(d.m), y] = -np.inf
         margin = (H[np.arange(d.m), y] - wrong.max(axis=1)).min()
@@ -168,9 +168,9 @@ class TestWindowFixture:
         correct = np.zeros(5, dtype=int)
         for h in space:
             preds = h.predict_all(d)
-            n_right = int((preds == d.label_array).sum())
+            n_right = int((preds == d.labels).sum())
             assert n_right == w
-            correct += preds == d.label_array
+            correct += preds == d.labels
         assert (correct == w).all()
 
     def test_per_classifier_cost(self):
@@ -196,14 +196,14 @@ class TestMhOverdemandFixture:
         d, space = cnd.mh_overdemand_fixture(3, 0.0, 3)
         assert len(space) == 3
         for h in space:
-            assert int((h.predict_all(d) == d.label_array).sum()) == 1
+            assert int((h.predict_all(d) == d.labels).sum()) == 1
 
     def test_mh_violation_value(self):
         k = 3
         d, space = cnd.mh_overdemand_fixture(k, 0.0, 3)
         B = cnd.mh_baseline(d, 0.0)
         C = np.zeros((d.m, k))
-        C[np.arange(d.m), d.label_array - 1] = -1.0
+        C[np.arange(d.m), d.labels - 1] = -1.0
         # per-example violation 1/2 - 1/k for every classifier
         for h in space:
             assert cnd.edge(C, h, B, d) / d.m == pytest.approx(-(0.5 - 1 / k))
@@ -212,7 +212,7 @@ class TestMhOverdemandFixture:
         d, space = cnd.mh_overdemand_fixture(2, 0.0, 2)
         B = cnd.mh_baseline(d, 0.0)
         C = np.zeros((d.m, 2))
-        C[np.arange(d.m), d.label_array - 1] = -1.0
+        C[np.arange(d.m), d.labels - 1] = -1.0
         for h in space:
             assert cnd.edge(C, h, B, d) == pytest.approx(0.0)
 
@@ -287,7 +287,7 @@ def game_lp_per_row(space, d, family, B):
     (example, vertex) with coefficients v . 1_h(x_i), one slack per
     example."""
     m, k, n = d.m, d.k, len(space)
-    y = d.label_array - 1
+    y = d.labels - 1
     preds = [h.predict_all(d) for h in space]
     rows, rhs = [], []
     for i in range(m):

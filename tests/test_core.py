@@ -14,18 +14,23 @@ from driftboost.core import (CostMatrix, Dataset, ScoringFunction,
 class TestPluralityPredict:
     def test_all_zero_ties_to_lowest(self):
         F = ScoringFunction.zero(4)
-        assert plurality_predict(F, (0,)) == 1
+        assert plurality_predict(F, indexed_dataset([1], 4)).tolist() == [1]
 
     def test_unique_argmax(self):
         h = TableClassifier([2])
         F = ScoringFunction(((h, 0.9),), 3)
-        assert plurality_predict(F, (0,)) == 2
+        assert plurality_predict(F, indexed_dataset([1], 3)).tolist() == [2]
 
     def test_two_classifier_tie(self):
         # alpha=(1,1) over h1 == 1 and h2 == 2: tie 1 vs 1 -> label 1
         h1, h2 = TableClassifier([1]), TableClassifier([2])
         F = ScoringFunction(((h1, 1.0), (h2, 1.0)), 3)
-        assert plurality_predict(F, (0,)) == 1
+        assert plurality_predict(F, indexed_dataset([1], 3)).tolist() == [1]
+
+    def test_per_example_argmax_of_score_table(self):
+        d = indexed_dataset([1, 1, 1], 3)
+        F = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        assert plurality_predict(F, d).tolist() == [2, 1, 3]
 
     @given(st.lists(st.integers(-100, 100), min_size=2, max_size=6),
            st.integers(-50, 50))
@@ -74,6 +79,23 @@ class TestExpRisk:
         F = np.array([[0.0, 800.0]])
         assert exp_risk(F, d) > 1e300 or math.isinf(exp_risk(F, d))
 
+    def test_shifted_rows_match_direct_terms(self):
+        # one row above the overflow guard's threshold, one below
+        d = indexed_dataset([1, 1], 3)
+        F = np.array([[0.0, 705.0, 704.0], [0.0, 1.0, 2.0]])
+        want = (math.exp(705) + math.exp(704) + math.e + math.e ** 2) / 2
+        assert exp_risk(F, d) == pytest.approx(want, rel=1e-12)
+
+    @given(st.integers(0, 10_000))
+    def test_row_order_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k = 40, 4
+        y = rng.integers(1, k + 1, size=m)
+        F = rng.normal(scale=3.0, size=(m, k))
+        perm = rng.permutation(m)
+        assert (exp_risk(F[perm], indexed_dataset(y[perm], k))
+                == exp_risk(F, indexed_dataset(y, k)))
+
     @given(st.integers(0, 10_000))
     def test_per_example_error_bound(self, seed):
         rng = np.random.default_rng(seed)
@@ -98,7 +120,7 @@ class TestStateMatrix:
 class TestDataset:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
-            Dataset(((0,), (1,)), (1, 4), 3)
+            Dataset((np.array([0, 1]),), np.array([1, 4]), 3)
 
     def test_single_class_count_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +128,14 @@ class TestDataset:
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(((0, 1), (1,)), (1, 2), 2)
+            # rows (0, 1) and (1,) as columns of unequal length
+            Dataset((np.array([0, 1]), np.array([1])), np.array([1, 2]), 2)
+
+    def test_features_are_rows_of_the_columns(self):
+        d = Dataset((np.array([0.5, 2.0]), np.array(["a", "b"])),
+                    np.array([1, 2]), 2)
+        assert d.features == ((0.5, "a"), (2.0, "b"))
+        assert all(type(v) in (float, str) for row in d.features for v in row)
 
 
 class TestCostMatrixFamilies:

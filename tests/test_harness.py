@@ -1,13 +1,13 @@
-import math
-import os
+import json
 
-import numpy as np
 import pytest
 
 from driftboost import cli
 from driftboost import conditions as cnd
 from driftboost import harness as hz
+from driftboost.core import ScoringFunction, exp_risk, training_error
 from driftboost.potentials import EXP, ZERO_ONE, LossSpec
+from driftboost.weaklearners import tree_from_dict
 
 ZO = LossSpec(ZERO_ONE)
 
@@ -23,8 +23,13 @@ def window_csv(path, m, gamma_prime):
     d, _, _ = cnd.window_fixture(m, gamma_prime)
     with open(path, "w") as fh:
         fh.write("x,label\n")
-        for row, y in zip(d.features, d.labels):
-            fh.write(f"{row[0]},{y}\n")
+        for x, y in zip(d.columns[0].tolist(), d.labels.tolist()):
+            fh.write(f"{x},{y}\n")
+
+
+def rows(d):
+    """The dataset's feature rows as tuples."""
+    return list(zip(*(col.tolist() for col in d.columns)))
 
 
 class TestLoadCsv:
@@ -44,7 +49,7 @@ class TestLoadCsv:
         d, meta = hz.load_csv(p, label_column="label")
         assert meta["kinds"] == {"color": "categorical",
                                  "size": "categorical"}
-        assert d.labels == (1, 2, 3)
+        assert d.labels.tolist() == [1, 2, 3]
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -72,6 +77,32 @@ class TestLoadCsv:
             hz.load_csv(p)
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_numeric_rejected(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        write_csv(p, [(0, 1.5, "cat"), (1, cell, "dog"), (2, 0.5, "cat")])
+        with pytest.raises(ValueError, match=f"column 'b'.*{cell}"):
+            hz.load_csv(p)
+
+    def test_columns_carry_their_kind(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [("x", 1, "u"), ("y", 2.5, "v"), ("x", 3, "u")])
+        d, _ = hz.load_csv(p)
+        assert d.columns[0].tolist() == ["x", "y", "x"]
+        assert d.columns[0].dtype.kind == "U"
+        assert d.columns[1].tolist() == [1.0, 2.5, 3.0]
+        assert d.columns[1].dtype == float
+
+    def test_label_map_numbers_labels(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [(0, 1, "b"), (1, 2, "b")])
+        d, meta = hz.load_csv(p, label_map={"a": 1, "b": 2, "c": 3})
+        assert d.labels.tolist() == [2, 2] and d.k == 3
+        assert meta["label_map"] == {"a": 1, "b": 2, "c": 3}
+        with pytest.raises(ValueError, match="unknown label 'b'"):
+            hz.load_csv(p, label_map={"a": 1, "c": 2})
+
+
 class TestSplit:
     def test_deterministic_and_disjoint(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -79,9 +110,10 @@ class TestSplit:
         d, _ = hz.load_csv(p)
         a1, b1 = hz.split_dataset(d, 0.8, 5)
         a2, b2 = hz.split_dataset(d, 0.8, 5)
-        assert a1.features == a2.features and b1.labels == b2.labels
+        assert (rows(a1) == rows(a2)
+                and b1.labels.tolist() == b2.labels.tolist())
         assert a1.m + b1.m == d.m
-        seen = set(a1.features) | set(b1.features)
+        seen = set(rows(a1)) | set(rows(b1))
         assert len(seen) == d.m
 
 
@@ -144,6 +176,114 @@ class TestEvalModel:
         assert got["m"] == 11
         # trained on 10 of 11 rows; full-set error is near the train error
         assert got["error"] <= metrics["train_error"] + 1 / 11 + 1e-9
+
+
+def trained_window_model(tmp_path):
+    """(data path, model path, metrics) of an 11-row window run."""
+    data = tmp_path / "w.csv"
+    window_csv(data, 11, 0.1)
+    out = tmp_path / "run"
+    metrics = hz.run_experiment({"data": str(data), "out": str(out),
+                                 "rounds": 30, "split": 0.99, "seed": 0})
+    return data, out / "model.json", metrics
+
+
+def write_lines(path, header, lines):
+    path.write_text("\n".join([header] + lines) + "\n")
+
+
+class TestEvalByLabelName:
+    def test_reversed_rows_same_metrics(self, tmp_path):
+        # labels used to be numbered by first appearance, so the reversed
+        # file failed with "label map mismatch"
+        data, model, _ = trained_window_model(tmp_path)
+        header, *body = data.read_text().splitlines()
+        rev = tmp_path / "rev.csv"
+        write_lines(rev, header, body[::-1])
+        fwd, back = hz.eval_model(model, data), hz.eval_model(model, rev)
+        assert back["error"] == fwd["error"] and back["m"] == fwd["m"]
+        assert back["exp_risk"] == fwd["exp_risk"]
+
+    def test_missing_class_keeps_model_k(self, tmp_path):
+        # a held-out file without label 3 used to get k = 2
+        data, model, _ = trained_window_model(tmp_path)
+        header, *body = data.read_text().splitlines()
+        part = tmp_path / "part.csv"
+        keep = [ln for ln in body if not ln.endswith(",3")]
+        write_lines(part, header, keep)
+        full, _ = hz.load_csv(data)
+        d, meta = hz.load_csv(part, label_map={"1": 1, "2": 2, "3": 3})
+        assert d.k == 3 and meta["label_map"]["3"] == 3
+        got = hz.eval_model(model, part)
+        rows = [i for i, ln in enumerate(body) if not ln.endswith(",3")]
+        F = ScoringFunction(tuple((tree_from_dict(r["tree"]), r["alpha"])
+                                  for r in json.loads(model.read_text())
+                                  ["rounds"]), 3)
+        f = F.score_table(full)[rows]
+        assert got["m"] == len(keep)
+        assert got["error"] == training_error(f, full.subset(rows))
+        assert got["exp_risk"] == exp_risk(f, full.subset(rows))
+
+    def test_single_class_file(self, tmp_path):
+        # used to fail in load_csv with "single class"
+        data, model, _ = trained_window_model(tmp_path)
+        header, *body = data.read_text().splitlines()
+        one = tmp_path / "one.csv"
+        write_lines(one, header, [ln for ln in body if ln.endswith(",2")])
+        got = hz.eval_model(model, one)
+        assert got["m"] == 4 and 0.0 <= got["error"] <= 1.0
+
+    def test_unknown_label_rejected(self, tmp_path):
+        data, model, _ = trained_window_model(tmp_path)
+        header, *body = data.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        write_lines(bad, header, body + ["3,9"])
+        with pytest.raises(ValueError, match="unknown label '9'"):
+            hz.eval_model(model, bad)
+
+
+def one_split_model(path, feature, threshold, numeric):
+    tree = {"feature": feature, "threshold": threshold, "numeric": numeric,
+            "left": {"leaf": 1}, "right": {"leaf": 2}}
+    path.write_text(json.dumps({"k": 2, "label_map": {"a": 1, "b": 2},
+                                "algo": "mm-approx",
+                                "rounds": [{"alpha": 1.0, "tree": tree}]}))
+    return path
+
+
+class TestEvalColumnMismatch:
+    def run_eval(self, tmp_path, capsys, model, lines):
+        data = tmp_path / "d.csv"
+        write_lines(data, "x,label", lines)
+        rc = cli.main(["eval", str(model), str(data)])
+        return rc, capsys.readouterr().err
+
+    def test_numeric_split_on_categorical_column(self, tmp_path, capsys):
+        # used to escape as a TypeError traceback
+        model = one_split_model(tmp_path / "m.json", 0, 0.5, True)
+        rc, err = self.run_eval(tmp_path, capsys, model, ["u,a", "v,b"])
+        assert rc == 1
+        assert err.startswith("error: model splits column 0 as numeric")
+        assert "Traceback" not in err
+
+    def test_categorical_split_on_numeric_column(self, tmp_path, capsys):
+        # used to compare floats with a str and misroute every row
+        model = one_split_model(tmp_path / "m.json", 0, "u", False)
+        rc, err = self.run_eval(tmp_path, capsys, model, ["0,a", "1,b"])
+        assert rc == 1
+        assert err.startswith("error: model splits column 0 as categorical")
+
+    def test_split_on_missing_column(self, tmp_path, capsys):
+        model = one_split_model(tmp_path / "m.json", 3, 0.5, True)
+        rc, err = self.run_eval(tmp_path, capsys, model, ["0,a", "1,b"])
+        assert rc == 1
+        assert err.startswith("error: split on column 3, but the data has "
+                              "1 feature columns")
+
+    def test_matching_columns_evaluate(self, tmp_path, capsys):
+        model = one_split_model(tmp_path / "m.json", 0, "u", False)
+        rc, err = self.run_eval(tmp_path, capsys, model, ["u,a", "v,b"])
+        assert (rc, err) == (0, "")
 
 
 class TestEmitters:
@@ -237,6 +377,17 @@ class TestCli:
         window_csv(data, 11, 0.1)
         assert cli.main(["train", str(data), "--rounds", "3"]) == 0
         assert (tmp_path / "envout" / "model.json").exists()
+
+    def test_non_finite_numeric_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_csv(data, [(0, 1.5, "cat"), (1, "nan", "dog"),
+                         (2, 0.5, "cat"), (3, 2.0, "dog")])
+        rc = cli.main(["train", str(data), "--rounds", "2",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: column 'b': non-finite value 'nan'")
+        assert "Traceback" not in err
 
     def test_z_contraction_violation_is_an_error(self, tmp_path,
                                                  monkeypatch, capsys):

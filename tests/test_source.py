@@ -4,6 +4,8 @@ import pathlib
 import driftboost
 
 PACKAGE = pathlib.Path(driftboost.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -13,4 +15,36 @@ def test_no_assert_statements():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def unused_imports(tree):
+    """(line, name) of every imported name that the module never reads
+    and does not list in __all__."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_imports_detected():
+    tree = ast.parse("import os\nimport a.b\nfrom x import y as z, w\n"
+                     "__all__ = ['w']\nprint(a)\n")
+    assert unused_imports(tree) == [(1, "os"), (3, "z")]
+
+
+def test_no_unused_imports():
+    found = [f"{path.parent.name}/{path.name}:{line} {name}"
+             for path in SOURCES
+             for line, name in unused_imports(ast.parse(path.read_text()))]
     assert found == []

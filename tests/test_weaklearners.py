@@ -53,7 +53,7 @@ class TestFullSpaceBestResponse:
 
 
 def numeric_dataset(xs, labels, k):
-    return Dataset(tuple((float(x),) for x in xs), tuple(labels), k)
+    return Dataset((np.asarray(xs, dtype=float),), labels, k)
 
 
 class TestGreedyTree:
@@ -62,7 +62,7 @@ class TestGreedyTree:
         C = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = greedy_tree(d, C, 1)
         assert h.size == 1
-        assert all(h(r) == 2 for r in d.features)
+        assert h.predict_all(d).tolist() == [2, 2, 2]
 
     def test_separable_split_reaches_zero_cost(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
@@ -73,18 +73,16 @@ class TestGreedyTree:
 
     def test_size_cap_respected(self):
         rng = np.random.default_rng(3)
-        d = Dataset(tuple((float(a), float(b)) for a, b in
-                          rng.normal(size=(30, 2))),
-                    tuple(int(y) for y in rng.integers(1, 4, 30)), 3)
+        d = Dataset(tuple(rng.normal(size=(30, 2)).T),
+                    rng.integers(1, 4, 30), 3)
         C = rng.uniform(size=(30, 3))
         for cap in (1, 3, 5, 9):
             assert greedy_tree(d, C, cap).size <= cap
 
     def test_monotone_in_cap(self):
         rng = np.random.default_rng(14)
-        d = Dataset(tuple((float(a), float(b)) for a, b in
-                          rng.normal(size=(40, 2))),
-                    tuple(int(y) for y in rng.integers(1, 4, 40)), 3)
+        d = Dataset(tuple(rng.normal(size=(40, 2)).T),
+                    rng.integers(1, 4, 40), 3)
         C = -np.eye(3)[np.asarray(d.labels) - 1]  # reward the true label
         costs = [cost_of(greedy_tree(d, C, cap), C, d)
                  for cap in (1, 3, 5, 9, 15)]
@@ -92,25 +90,24 @@ class TestGreedyTree:
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
-        d = Dataset(tuple((float(a), float(b)) for a, b in
-                          rng.normal(size=(25, 2))),
-                    tuple(int(y) for y in rng.integers(1, 3, 25)), 2)
+        d = Dataset(tuple(rng.normal(size=(25, 2)).T),
+                    rng.integers(1, 3, 25), 2)
         C = rng.normal(size=(25, 2))
         a = greedy_tree(d, C, 7).to_dict()
         b = greedy_tree(d, C, 7).to_dict()
         assert a == b
 
     def test_categorical_split(self):
-        d = Dataset((("a",), ("a",), ("b",), ("c",)), (1, 1, 2, 2), 2)
+        d = Dataset((np.array(["a", "a", "b", "c"]),), [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = greedy_tree(d, C, 3)
         assert cost_of(h, C, d) == 0.0
-        assert [h(r) for r in d.features] == [1, 1, 2, 2]
+        assert h.predict_all(d).tolist() == [1, 1, 2, 2]
 
     def test_info_gain_majority_leaves(self):
         d = numeric_dataset([0, 1, 2, 10, 11], [1, 1, 2, 3, 3], 3)
         h = greedy_tree(d, np.zeros((5, 3)), 5, "INFO_GAIN")
-        preds = [h(r) for r in d.features]
+        preds = h.predict_all(d).tolist()
         assert preds[3:] == [3, 3]
         assert preds[0] == 1 and preds[1] == 1
 
@@ -127,7 +124,7 @@ class TestGreedyTree:
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = greedy_tree(d, C, 3)
         h2 = tree_from_dict(h.to_dict())
-        assert [h2(r) for r in d.features] == [h(r) for r in d.features]
+        assert h2.predict_all(d).tolist() == h.predict_all(d).tolist()
 
 
 class TestStump:
@@ -144,8 +141,7 @@ class TestStump:
 
     def test_equals_size_three_cost_tree(self):
         rng = np.random.default_rng(30)
-        d = Dataset(tuple((float(a),) for a in rng.normal(size=12)),
-                    tuple(int(y) for y in rng.integers(1, 3, 12)), 2)
+        d = Dataset((rng.normal(size=12),), rng.integers(1, 3, 12), 2)
         C = rng.normal(size=(12, 2))
         assert stump(d, C).to_dict() == greedy_tree(d, C, 3).to_dict()
 

@@ -4,17 +4,17 @@ cost-matrix games, potential functions, and the OS / adaptive boosters.
 """
 
 from .core import (Baseline, CostMatrix, Dataset, ScoringFunction,
-                   StateMatrix, TableClassifier, WeakClassifier, exp_risk,
-                   indexed_dataset, plurality_predict, training_error)
+                   TableClassifier, WeakClassifier, exp_risk, indexed_dataset,
+                   plurality_predict, training_error)
 from .potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
                          gamma_biased_uniform, kappa, potential_exp_closed,
                          potential_fixed, potential_minimal,
                          potential_oracle_bruteforce, potential_zeroone_dp)
 
 __all__ = [
-    "Baseline", "CostMatrix", "Dataset", "ScoringFunction", "StateMatrix",
-    "TableClassifier", "WeakClassifier", "exp_risk", "indexed_dataset",
-    "plurality_predict", "training_error", "EXP", "ZERO_ONE",
+    "Baseline", "CostMatrix", "Dataset", "ScoringFunction", "TableClassifier",
+    "WeakClassifier", "exp_risk", "indexed_dataset", "plurality_predict",
+    "training_error", "EXP", "ZERO_ONE",
     "EorDistribution", "LossSpec", "gamma_biased_uniform", "kappa",
     "potential_exp_closed", "potential_fixed", "potential_minimal",
     "potential_oracle_bruteforce", "potential_zeroone_dp",

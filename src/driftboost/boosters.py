@@ -2,17 +2,21 @@
 edge-over-random condition, adaptive AdaBoost.MM with both step rules,
 plain binary AdaBoost, and the mislabel-triple transform tying the two
 together.
+
+Every loop works on whole arrays: the OS booster evaluates each round's
+potentials once per distinct (baseline row, s_l - s_1) key, and the
+mislabel triples are three index arrays.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import (Baseline, CostMatrix, Dataset, ScoringFunction,
-                   prediction_matrix, training_error)
+                   prediction_matrix, training_error, wrong_labels)
 from .potentials import EXP, potential_fixed
+from .weaklearners import BestResponseLearner
 
 ALPHA_MAX = 20.0
 
@@ -38,12 +42,7 @@ class BoostRun:
     dataset: Dataset
     separated: bool = False
     negative_edge_rounds: int = 0
-    bound_asserted: bool = True
     extra: dict = field(default_factory=dict)
-
-    @property
-    def weights(self):
-        return [r.alpha for r in self.rounds]
 
 
 def _mm_weight_matrix(f, y):
@@ -78,9 +77,9 @@ def drop_factor_exact(A_plus, A_minus, Z_prev, delta):
     return (1.0 - c) + math.sqrt(max(c * c - delta * delta, 0.0))
 
 
-def _step(delta, alpha_max, ratio=None):
+def _step(delta, ratio=None):
     """(alpha, clamped): 0 for a non-positive edge, else half the log of
-    ratio, clamped at alpha_max. The ratio defaults to the APPROX odds
+    ratio, clamped at ALPHA_MAX. The ratio defaults to the APPROX odds
     (1 + delta)/(1 - delta); an edge within 1e-15 of 1, or an infinite
     ratio, is separation and clamps."""
     if delta <= 0.0:
@@ -89,15 +88,15 @@ def _step(delta, alpha_max, ratio=None):
         ratio = ((1.0 + delta) / (1.0 - delta) if delta < 1.0 - 1e-15
                  else math.inf)
     alpha = 0.5 * math.log(ratio)
-    if alpha > alpha_max:
-        return alpha_max, True
+    if alpha > ALPHA_MAX:
+        return ALPHA_MAX, True
     return max(alpha, 0.0), False
 
 
-def adaboost_mm(dataset, T, learner, step_rule="APPROX", alpha_max=ALPHA_MAX):
+def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
     """Algorithm with original labels y_i: adaptive cost matrix, edge
     delta_t = (-C_t.1_h)/Z_{t-1}, APPROX or EXACT step, clamp at
-    alpha_max on separation."""
+    ALPHA_MAX on separation."""
     if step_rule not in ("APPROX", "EXACT"):
         raise ValueError("step_rule must be APPROX or EXACT")
     m, k = dataset.m, dataset.k
@@ -125,7 +124,7 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX", alpha_max=ALPHA_MAX):
         ratio = None
         if step_rule == "EXACT":
             ratio = A_plus / A_minus if A_minus > 0.0 else math.inf
-        alpha, clamped = _step(delta, alpha_max, ratio)
+        alpha, clamped = _step(delta, ratio)
         if delta <= 0.0:
             negative += 1
         f[np.arange(m), preds - 1] += alpha
@@ -149,45 +148,49 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     phi^{b_i}_{T-t-1}(s_t(i) + e_l), alpha_t = 1 (ZERO_ONE) or eta (EXP).
 
     Potentials index coordinate 1 = true label, so each row's baseline
-    and state are reordered true-label-first before lookups."""
+    and states are reordered true-label-first. A potential reads a state
+    only through s_l - s_1, so a batch of lookups calls potential_fixed
+    once per distinct key (b_i, s - s_1) and scatters the values back."""
     if not isinstance(baseline, Baseline) or baseline.kind not in ("EOR", "U"):
         raise ValueError("OS booster needs an edge-over-random baseline")
     m, k = dataset.m, dataset.k
-    y = dataset.labels - 1
-    order = [np.concatenate(([y[i]], np.delete(np.arange(k), y[i])))
-             for i in range(m)]
-    brows = [tuple(baseline.entries[i][order[i]]) for i in range(m)]
+    rows = np.arange(m)[:, None]
+    order = np.concatenate((dataset.labels[:, None],
+                            wrong_labels(dataset.labels, k)), axis=1) - 1
+    b = baseline.entries[rows, order]
     alpha = loss.eta if loss.kind == EXP else 1.0
 
-    cache = {}
-
-    def phi(b, t, s):
-        key = (b, t, tuple(int(x - s[0]) for x in s))
-        if key not in cache:
-            cache[key] = potential_fixed(np.array(b), loss, t, np.array(s))
-        return cache[key]
+    def phi(t, states):
+        """phi^{b_i}_t(states[i, r]) for true-label-first states (m, r, k)."""
+        diffs = (states - states[:, :, :1]).reshape(-1, k)
+        keys = np.concatenate((np.repeat(b, states.shape[1], axis=0), diffs),
+                              axis=1)
+        # one void scalar per (C-contiguous) key row: a 1-D unique is
+        # several times faster than np.unique(keys, axis=0)
+        void = keys.view(np.dtype((np.void, keys.itemsize * 2 * k))).ravel()
+        _, first, inverse = np.unique(void, return_index=True,
+                                      return_inverse=True)
+        values = np.array([potential_fixed(keys[j, :k], loss, t, diffs[j])
+                           for j in first])
+        return values[inverse].reshape(states.shape[:2])
 
     s = np.zeros((m, k), dtype=int)
     rounds, prov = [], []
-    initial = sum(phi(brows[i], T, s[i][order[i]]) for i in range(m)) / m
+    initial = sum(phi(T, s[:, None, :])[:, 0].tolist()) / m
     all_satisfied = True
     for t in range(T):
-        rem = T - t - 1
-        C = np.zeros((m, k))
-        for i in range(m):
-            for l in range(k):
-                child = s[i].copy()
-                child[l] += 1
-                C[i, l] = phi(brows[i], rem, child[order[i]])
+        children = s[rows, order][:, None, :] + np.eye(k, dtype=int)
+        C = np.empty((m, k))
+        C[rows, order] = phi(T - t - 1, children)
         h = learner(dataset, CostMatrix(C, "UNCONSTRAINED"))
         preds = h.predict_all(dataset)
-        hcost = float(C[np.arange(m), preds - 1].sum())
-        bcost = float((C * baseline.entries).sum())
-        e = bcost - hcost
+        chosen = C[rows[:, 0], preds - 1]
+        e = float((C * baseline.entries).sum()) - float(chosen.sum())
         if e < -1e-9:
             all_satisfied = False
-        s[np.arange(m), preds - 1] += 1
-        avg = sum(phi(brows[i], rem, s[i][order[i]]) for i in range(m)) / m
+        s[rows[:, 0], preds - 1] += 1
+        # s_{t+1}(i) = s_t(i) + e_{h(x_i)}: the chosen entries of C_t
+        avg = sum(chosen.tolist()) / m
         prov.append((h, alpha))
         rounds.append(BoostRound(t + 1, h, getattr(h, "index", -1), e, alpha,
                                  0.0, 0.0, extra={"avg_potential": avg}))
@@ -195,7 +198,6 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     run = BoostRun(rounds, scoring, dataset,
                    extra={"initial_potential": initial,
                           "condition_satisfied": all_satisfied})
-    run.bound_asserted = all_satisfied
     if all_satisfied:
         err = training_error(scoring, dataset)
         if err > initial + 1e-9:
@@ -206,20 +208,15 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
 
 # ---------------------------------------------------- mislabel transform
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MislabelDataset:
-    """m(k-1) all-negative binary triples (i, y_i, l), l != y_i."""
-    triples: tuple         # ((example index, y, l), ...)
-    source: Dataset
+    """m(k-1) all-negative binary examples, one triple (i, y_i, l) per
+    wrong label l, ordered by example, then by l."""
+    columns: tuple  # three int arrays: example index, y, l
 
     @property
     def size(self):
-        return len(self.triples)
-
-    @cached_property
-    def columns(self):
-        """The triples as three int arrays: example index, y, l."""
-        return np.array(self.triples, dtype=int).reshape(-1, 3).T
+        return len(self.columns[0])
 
 
 class TransformedClassifier:
@@ -238,16 +235,17 @@ class TransformedClassifier:
 
 
 def transform_mislabel(dataset, Hspace):
-    triples = tuple((i, y, l) for i, y in enumerate(dataset.labels.tolist())
-                    for l in range(1, dataset.k + 1) if l != y)
-    mislabel = MislabelDataset(triples, dataset)
+    m, k = dataset.m, dataset.k
+    mislabel = MislabelDataset((np.repeat(np.arange(m), k - 1),
+                                np.repeat(dataset.labels, k - 1),
+                                wrong_labels(dataset.labels, k).ravel()))
     P = prediction_matrix(Hspace, dataset)
     transformed = [TransformedClassifier(h, P[j], j)
                    for j, h in enumerate(Hspace)]
     return mislabel, transformed
 
 
-def adaboost_binary(mislabel, Hspace, T, alpha_max=ALPHA_MAX):
+def adaboost_binary(mislabel, Hspace, T):
     """Confidence-rated binary AdaBoost on the all-negative transform;
     each round takes the maximum-edge transformed hypothesis (ties to the
     lowest index)."""
@@ -269,7 +267,7 @@ def adaboost_binary(mislabel, Hspace, T, alpha_max=ALPHA_MAX):
         # ties cannot be broken by float summation noise
         j = int(np.argmax(edges >= edges.max() - 2e-12))
         delta = float(edges[j])
-        alpha, clamped = _step(delta, alpha_max)
+        alpha, clamped = _step(delta)
         if delta <= 0.0:
             negative += 1
         Ft = Ft + alpha * values[j]
@@ -291,7 +289,6 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     """AdaBoost.MM (APPROX, best-response learner) against binary
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
-    from .weaklearners import BestResponseLearner
     mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")
     mislabel, transformed = transform_mislabel(dataset, Hspace)
     bin_run = adaboost_binary(mislabel, transformed, T)
@@ -306,7 +303,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
             return False, f"round {ra.t}: different classifier"
         if abs(ra.alpha - rb.alpha) > tol:
             return False, f"round {ra.t}: weights differ"
-        # normalized weights over triples at the start of the round
+        # normalized per-triple weights at the start of the round
         e = _mm_weight_matrix(f, y)
         mm_w = e[ti, tl - 1]
         mm_w /= mm_w.sum()

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (Baseline, CostMatrix, TableClassifier, indexed_dataset,
-                   prediction_matrix)
+                   prediction_matrix, wrong_labels)
 
 
 # ---------------------------------------------------------------- baselines
@@ -276,27 +276,22 @@ def figure_one_fixture():
     return dataset, [h1, h2]
 
 
-def window_fixture(m, gamma_prime, k=3, baseline=None):
-    """m examples / m classifiers; classifier j is correct exactly on the
-    wrap-around window of length floor(m(1/2+gamma_prime)) starting at j,
-    and predicts yhat_i = argmin wrong-label baseline entry elsewhere.
+def window_fixture(m, gamma_prime):
+    """m examples / m classifiers over k = 3 classes, for the uniform
+    baseline with gamma = k * gamma_prime; classifier j is correct exactly
+    on the wrap-around window of length floor(m(1/2+gamma_prime))
+    starting at j, and predicts yhat_i = the lowest wrong label (the
+    argmin wrong-label baseline entry) elsewhere.
 
     Returns (dataset, Hspace, cost matrix charging 1 for predicting yhat)."""
+    k = 3
     if m <= 1.0 / gamma_prime:
         raise ValueError("need m > 1/gamma_prime")
+    if k * gamma_prime >= 1.0:
+        raise ValueError("k * gamma_prime must stay below 1")
     labels = [(i % k) + 1 for i in range(m)]
     dataset = indexed_dataset(labels, k)
-    if baseline is None:
-        gamma = k * gamma_prime
-        if gamma >= 1.0:
-            raise ValueError("k * gamma_prime must stay below 1")
-        baseline = uniform_baseline(dataset, gamma)
-    y = dataset.labels - 1
-    yhat = np.empty(m, dtype=int)
-    for i in range(m):
-        row = baseline.entries[i].copy()
-        row[y[i]] = np.inf
-        yhat[i] = int(np.argmin(row)) + 1
+    yhat = wrong_labels(dataset.labels, k)[:, 0]
     w = int(math.floor(m * (0.5 + gamma_prime)))
     space = []
     for j in range(m):

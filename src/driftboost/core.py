@@ -85,25 +85,17 @@ class TableClassifier(WeakClassifier):
         return self.predictions
 
 
+def wrong_labels(labels, k):
+    """(m, k-1) int array: each example's labels other than its own,
+    ascending."""
+    wrong = np.arange(1, k)[None, :]
+    return wrong + (wrong >= np.asarray(labels, dtype=int)[:, None])
+
+
 def prediction_matrix(Hspace, dataset):
     """A finite classifier space as one (n, m) int array P[j, i] = h_j(x_i)."""
     return np.array([h.predict_all(dataset) for h in Hspace],
                     dtype=int).reshape(len(Hspace), dataset.m)
-
-
-@dataclass(frozen=True)
-class StateMatrix:
-    """Per-example vote counts s_t(i) (and optionally weighted f_t(i))."""
-    counts: np.ndarray            # m x k integers
-    t: int
-    weighted: np.ndarray = None   # m x k reals, or None
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if not np.all(c.sum(axis=1) == self.t):
-            raise ValueError("state rows must sum to the round index")
-        if np.any(c < 0):
-            raise ValueError("negative vote counts")
 
 
 @dataclass(frozen=True)
@@ -180,9 +172,7 @@ class CostMatrix:
         y = np.asarray(labels, dtype=int) - 1
         idx = np.arange(m)
         own = c[idx, y]
-        mask = np.ones_like(c, dtype=bool)
-        mask[idx, y] = False
-        off = c[mask].reshape(m, k - 1)
+        off = c[idx[:, None], wrong_labels(labels, k) - 1]
         if self.family == "EOR":
             ok = np.all(own[:, None] <= off + tol)
         elif self.family == "SAM":

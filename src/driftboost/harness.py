@@ -13,8 +13,8 @@ import random
 import numpy as np
 
 from . import boosters, conditions, potentials, weaklearners
-from .core import (Dataset, ScoringFunction, exp_risk, is_numeric,
-                   training_error)
+from .core import (Dataset, ScoringFunction, TableClassifier, exp_risk,
+                   indexed_dataset, is_numeric, training_error)
 from .potentials import EXP, ZERO_ONE, LossSpec
 
 
@@ -227,7 +227,6 @@ def emit_degree_map(gamma, loss, T):
 
 def random_dataset_space(rng, m, k, n):
     """Random indexed dataset plus n random table classifiers."""
-    from .core import TableClassifier, indexed_dataset
     labels = [rng.randrange(1, k + 1) for _ in range(m)]
     dataset = indexed_dataset(labels, k)
     space = [TableClassifier([rng.randrange(1, k + 1) for _ in range(m)])

@@ -192,23 +192,20 @@ class MinimalPotential:
         return self._value_degree(t, diffs)
 
 
-def potential_minimal(gamma, loss, t, s, table=None):
+def potential_minimal(gamma, loss, t, s):
     """(value, degree) of the minimal-condition potential at (t, s)."""
     s = np.asarray(s, dtype=int)
-    if table is None:
-        table = MinimalPotential(gamma, loss, len(s))
-    return table.value_degree(t, s)
+    return MinimalPotential(gamma, loss, len(s)).value_degree(t, s)
 
 
-def degree_map(gamma, loss, T, k=3):
-    """Degrees over compressed states (u, v) = (s_2-s_1, s_3-s_2).
+def degree_map(gamma, loss, T):
+    """Degrees over compressed states (u, v) = (s_2-s_1, s_3-s_2) for
+    k = 3, the one arity whose states fit a 2-D map.
 
     Returns a list of (u, v, t, degree) rows for t = 1..T and
-    u, v in [-T, T]; only meaningful for k = 3.
+    u, v in [-T, T].
     """
-    if k != 3:
-        raise ValueError("degree maps are 2-D only for k = 3")
-    table = MinimalPotential(gamma, loss, k)
+    table = MinimalPotential(gamma, loss, 3)
     rows = []
     for t in range(1, T + 1):
         for u in range(-T, T + 1):

@@ -4,7 +4,8 @@ splitting), and stumps."""
 
 import numpy as np
 
-from .core import CostMatrix, WeakClassifier, is_numeric, prediction_matrix
+from .core import (CostMatrix, TableClassifier, WeakClassifier, is_numeric,
+                   prediction_matrix)
 
 
 def best_response(Hspace, C, dataset):
@@ -37,7 +38,6 @@ class FullSpaceBestResponse:
     cost argmin, realized as a memorizing table classifier."""
 
     def __call__(self, dataset, C):
-        from .core import TableClassifier
         c = C.entries if isinstance(C, CostMatrix) else np.asarray(C)
         return TableClassifier(np.argmin(c, axis=1) + 1)
 

@@ -171,19 +171,26 @@ class TestDropFactor:
 
 
 class TestTransform:
+    def test_columns_are_the_triples_in_order(self):
+        d = indexed_dataset([2, 1, 4, 4, 3], 4)
+        mis, _ = bst.transform_mislabel(d, [])
+        want = [(i, y, l) for i, y in enumerate(d.labels.tolist())
+                for l in range(1, d.k + 1) if l != y]
+        assert list(zip(*(c.tolist() for c in mis.columns))) == want
+
     def test_sizes_and_uniqueness(self):
         d = indexed_dataset([1, 3], 3)
         mis, _ = bst.transform_mislabel(d, [])
         assert mis.size == 4
-        assert len(set(mis.triples)) == 4
-        for i, y, l in mis.triples:
+        assert len(set(zip(*mis.columns))) == 4
+        for i, y, l in zip(*mis.columns):
             assert l != y
 
     def test_classifier_values(self):
         d = indexed_dataset([1, 2], 3)
         h = TableClassifier([1, 1])
         mis, (ht,) = bst.transform_mislabel(d, [h])
-        vals = dict(zip(mis.triples, ht.values(mis)))
+        vals = dict(zip(zip(*mis.columns), ht.values(mis)))
         assert vals[(0, 1, 2)] == -1.0  # h correct: -1
         assert vals[(1, 2, 1)] == 1.0   # h predicts the mislabel: +1
         assert vals[(1, 2, 3)] == 0.0   # neither
@@ -256,14 +263,100 @@ class TestFiniteSpaceProperty:
 
         mis, tspace = bst.transform_mislabel(d, space)
         for h, ht in zip(space, tspace):
-            for (i, y, l), v in zip(mis.triples, ht.values(mis)):
+            for (i, y, l), v in zip(zip(*mis.columns), ht.values(mis)):
                 p = h.predictions[ids[i]]
                 assert v == float(p == l) - float(p == y)
 
         assert bst.check_run_equivalence(d, space, 10) == (True, "ok")
 
 
+def per_row_key(B, d, t, i, state):
+    """(t, b_i, s - s_1) with b_i and the state reordered true-label-first,
+    as the per-row loop keyed its potential lookups."""
+    y = d.labels[i] - 1
+    order = [y] + [l for l in range(d.k) if l != y]
+    s = np.asarray(state)[order]
+    return t, tuple(B.entries[i][order]), tuple(s - s[0])
+
+
+def per_row_potential(B, d, loss, t, i, state):
+    t, b, s = per_row_key(B, d, t, i, state)
+    return pot.potential_fixed(np.array(b), loss, t, np.array(s))
+
+
+def check_os_run(monkeypatch, d, B, loss, T, learner):
+    """Run the OS booster with each C_t the learner receives and each
+    potential_fixed call recorded; compare them with per-row references."""
+    received, calls = [], []
+
+    def recording_learner(dataset, C):
+        received.append(C.entries.copy())
+        return learner(dataset, C)
+
+    def recording_potential(b, loss, t, s):
+        calls.append((t, tuple(b), tuple(np.asarray(s) - s[0])))
+        return pot.potential_fixed(b, loss, t, s)
+
+    monkeypatch.setattr(bst, "potential_fixed", recording_potential)
+    run = bst.os_boost_fixed(d, B, loss, T, recording_learner)
+    m, k = d.m, d.k
+    s = np.zeros((m, k), dtype=int)
+    assert run.extra["initial_potential"] == sum(
+        per_row_potential(B, d, loss, T, i, s[i]) for i in range(m)) / m
+    keys = {per_row_key(B, d, T, i, s[i]) for i in range(m)}
+    assert len(received) == len(run.rounds) == T
+    for t, (C, r) in enumerate(zip(received, run.rounds)):
+        rem = T - t - 1
+        children = [[s[i] + np.eye(k, dtype=int)[l] for l in range(k)]
+                    for i in range(m)]
+        want = [[per_row_potential(B, d, loss, rem, i, c)
+                 for c in children[i]] for i in range(m)]
+        assert C.tolist() == want
+        keys |= {per_row_key(B, d, rem, i, c)
+                 for i in range(m) for c in children[i]}
+        s[np.arange(m), r.classifier.predict_all(d) - 1] += 1
+        assert r.extra["avg_potential"] == sum(
+            per_row_potential(B, d, loss, rem, i, s[i]) for i in range(m)) / m
+    # one call per distinct key of each batch (t tells the batches apart)
+    assert len(calls) == len(set(calls)) and set(calls) == keys
+    return run
+
+
+def random_eor_baseline(d, gamma, rng):
+    """Rows in Delta_gamma^k that differ even after the true-label-first
+    reordering."""
+    rows = rng.uniform(0.1, 1.0, (d.m, d.k))
+    rows[np.arange(d.m), d.labels - 1] = 0.0
+    top = rows.max(axis=1)
+    scale = (1.0 - gamma) / (rows.sum(axis=1) + top)
+    rows *= scale[:, None]
+    rows[np.arange(d.m), d.labels - 1] = top * scale + gamma
+    return cnd.eor_baseline(d, rows, gamma)
+
+
 class TestOsBooster:
+    @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
+                             ids=["zeroone", "exp"])
+    @pytest.mark.parametrize("baseline", ["uniform", "window", "random"])
+    def test_cost_matrices_match_per_row_potentials(self, monkeypatch,
+                                                    baseline, loss):
+        m, gp = 11, 0.15
+        d, space, _ = cnd.window_fixture(m, gp)
+        B = {"uniform": lambda: cnd.uniform_baseline(d, 0.1),
+             "window": lambda: window_eor_baseline(d, m, gp),
+             "random": lambda: random_eor_baseline(
+                 d, 0.1, np.random.default_rng(5))}[baseline]()
+        check_os_run(monkeypatch, d, B, loss, 6, BestResponseLearner(space))
+
+    @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
+                             ids=["zeroone", "exp"])
+    def test_one_row_run(self, monkeypatch, loss):
+        d = indexed_dataset([2], 3)
+        B = cnd.uniform_baseline(d, 0.2)
+        run = check_os_run(monkeypatch, d, B, loss, 4,
+                           FullSpaceBestResponse())
+        assert training_error(run.scoring, d) == 0.0
+
     def test_zero_rounds_trivial_error(self):
         d = indexed_dataset([1, 2, 3], 3)
         B = cnd.uniform_baseline(d, 0.0)
@@ -313,4 +406,3 @@ class TestOsBooster:
 
         run = bst.os_boost_fixed(d, B, ZO, 3, worst)
         assert not run.extra["condition_satisfied"]
-        assert not run.bound_asserted

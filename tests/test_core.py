@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftboost.core import (CostMatrix, Dataset, ScoringFunction,
-                             StateMatrix, TableClassifier, exp_risk,
-                             indexed_dataset, plurality_predict,
-                             training_error)
+                             TableClassifier, exp_risk, indexed_dataset,
+                             plurality_predict, training_error, wrong_labels)
 
 
 class TestPluralityPredict:
@@ -106,17 +105,6 @@ class TestExpRisk:
         assert m * training_error(F, d) <= m * exp_risk(F, d) + 1e-9
 
 
-class TestStateMatrix:
-    def test_row_sum_invariant(self):
-        StateMatrix(np.array([[1, 2], [3, 0]]), 3)
-        with pytest.raises(ValueError):
-            StateMatrix(np.array([[1, 1], [3, 0]]), 3)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            StateMatrix(np.array([[4, -1]]), 3)
-
-
 class TestDataset:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
@@ -136,6 +124,17 @@ class TestDataset:
                     np.array([1, 2]), 2)
         assert d.features == ((0.5, "a"), (2.0, "b"))
         assert all(type(v) in (float, str) for row in d.features for v in row)
+
+
+class TestWrongLabels:
+    def test_other_labels_ascending(self):
+        got = wrong_labels([2, 1, 3, 3], 3)
+        assert got.tolist() == [[1, 3], [2, 3], [1, 2], [1, 2]]
+
+    def test_matches_per_row_definition(self):
+        labels = np.random.default_rng(2).integers(1, 6, 40)
+        want = [[l for l in range(1, 6) if l != y] for y in labels]
+        assert wrong_labels(labels, 5).tolist() == want
 
 
 class TestCostMatrixFamilies:

@@ -216,10 +216,6 @@ class TestMinimalPotential:
 
 
 class TestDegreeMap:
-    def test_rejects_wrong_k(self):
-        with pytest.raises(ValueError):
-            degree_map(0.1, ZO, 3, k=4)
-
     def test_small_eta_all_degree_three(self):
         rows = degree_map(0.0, LossSpec(EXP, 0.025), 6)
         assert {a for (_, _, _, a) in rows} == {3}

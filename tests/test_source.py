@@ -48,3 +48,27 @@ def test_no_unused_imports():
              for path in SOURCES
              for line, name in unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def function_imports(tree):
+    """(line, function) of every import statement inside a function."""
+    return sorted({(node.lineno, fn.name)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_imports_detected():
+    tree = ast.parse("import os\ndef f():\n    from x import y\n    return y\n"
+                     "class A:\n    def g(self):\n        import z\n")
+    assert function_imports(tree) == [(3, "f"), (7, "g")]
+
+
+def test_no_imports_inside_functions():
+    """The package imports at module level; a function-local import
+    hides a dependency between modules."""
+    found = [f"{path.name}:{line} in {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in function_imports(ast.parse(path.read_text()))]
+    assert found == []

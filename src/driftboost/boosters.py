@@ -4,8 +4,9 @@ plain binary AdaBoost, and the mislabel-triple transform tying the two
 together.
 
 Every loop works on whole arrays: the OS booster evaluates each round's
-potentials once per distinct (baseline row, s_l - s_1) key, and the
-mislabel triples are three index arrays.
+potentials once per distinct (baseline row, s_l - s_1) key, the mislabel
+triples are three index arrays, and the transformed classifier space is
+one value matrix with a row per classifier and a column per triple.
 """
 
 import math
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Baseline, CostMatrix, Dataset, ScoringFunction,
-                   prediction_matrix, training_error, wrong_labels)
+from .core import (Baseline, CostMatrix, ScoringFunction, prediction_matrix,
+                   training_error, wrong_labels)
 from .potentials import EXP, potential_fixed
 from .weaklearners import BestResponseLearner
 
@@ -24,8 +25,7 @@ ALPHA_MAX = 20.0
 @dataclass
 class BoostRound:
     t: int
-    classifier: object
-    classifier_index: int   # -1 when the learner exposes none
+    classifier: object      # binary AdaBoost: the row j of its value matrix
     edge: float
     alpha: float
     Z_prev: float
@@ -39,7 +39,6 @@ class BoostRound:
 class BoostRun:
     rounds: list
     scoring: ScoringFunction
-    dataset: Dataset
     separated: bool = False
     negative_edge_rounds: int = 0
     extra: dict = field(default_factory=dict)
@@ -132,12 +131,12 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
         Z_after = Z - (1.0 - math.exp(-alpha)) * A_plus \
             + (math.exp(alpha) - 1.0) * A_minus
         prov.append((h, alpha))
-        rounds.append(BoostRound(t, h, getattr(h, "index", -1), delta, alpha,
-                                 Z, Z_after, A_plus, A_minus))
+        rounds.append(BoostRound(t, h, delta, alpha, Z, Z_after, A_plus,
+                                 A_minus))
         if clamped:
             separated = True
             break
-    return BoostRun(rounds, ScoringFunction(tuple(prov), k), dataset,
+    return BoostRun(rounds, ScoringFunction(tuple(prov), k),
                     separated=separated, negative_edge_rounds=negative)
 
 
@@ -192,10 +191,10 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         # s_{t+1}(i) = s_t(i) + e_{h(x_i)}: the chosen entries of C_t
         avg = sum(chosen.tolist()) / m
         prov.append((h, alpha))
-        rounds.append(BoostRound(t + 1, h, getattr(h, "index", -1), e, alpha,
-                                 0.0, 0.0, extra={"avg_potential": avg}))
+        rounds.append(BoostRound(t + 1, h, e, alpha, 0.0, 0.0,
+                                 extra={"avg_potential": avg}))
     scoring = ScoringFunction(tuple(prov), k)
-    run = BoostRun(rounds, scoring, dataset,
+    run = BoostRun(rounds, scoring,
                    extra={"initial_potential": initial,
                           "condition_satisfied": all_satisfied})
     if all_satisfied:
@@ -219,40 +218,25 @@ class MislabelDataset:
         return len(self.columns[0])
 
 
-class TransformedClassifier:
-    """h~(x, y, l) = 1[h(x)=l] - 1[h(x)=y], in {-1, 0, +1}, from h's
-    row `preds` of the space's prediction matrix."""
-
-    def __init__(self, h, preds, index=-1):
-        self.h = h
-        self.index = index
-        self.preds = preds
-
-    def values(self, mislabel):
-        i, y, l = mislabel.columns
-        p = self.preds[i]
-        return (p == l).astype(float) - (p == y)
-
-
 def transform_mislabel(dataset, Hspace):
+    """(mislabel, V): the triples, and the transformed space as one (n,
+    m(k-1)) float matrix V[j, q] = 1[h_j(x_i) = l] - 1[h_j(x_i) = y] for
+    triple q = (i, y, l), in {-1, 0, +1}."""
     m, k = dataset.m, dataset.k
     mislabel = MislabelDataset((np.repeat(np.arange(m), k - 1),
                                 np.repeat(dataset.labels, k - 1),
                                 wrong_labels(dataset.labels, k).ravel()))
-    P = prediction_matrix(Hspace, dataset)
-    transformed = [TransformedClassifier(h, P[j], j)
-                   for j, h in enumerate(Hspace)]
-    return mislabel, transformed
+    i, y, l = mislabel.columns
+    p = prediction_matrix(Hspace, dataset)[:, i]
+    return mislabel, (p == l).astype(float) - (p == y)
 
 
-def adaboost_binary(mislabel, Hspace, T):
-    """Confidence-rated binary AdaBoost on the all-negative transform;
-    each round takes the maximum-edge transformed hypothesis (ties to the
-    lowest index)."""
-    n = mislabel.size
-    values = np.array([h.values(mislabel) for h in Hspace])
-    Ft = np.zeros(n)
-    rounds, alphas, chosen = [], [], []
+def adaboost_binary(V, T):
+    """Confidence-rated binary AdaBoost on the all-negative transform with
+    value matrix V; each round takes the maximum-edge row j of V (ties to
+    the lowest j) and names it as its classifier."""
+    Ft = np.zeros(V.shape[1])
+    rounds = []
     separated = False
     negative = 0
     for t in range(1, T + 1):
@@ -262,7 +246,7 @@ def adaboost_binary(mislabel, Hspace, T):
             separated = True
             break
         dist = w / Z
-        edges = -(values @ dist)
+        edges = -(V @ dist)
         # lowest index among near-maximal edges, so exact mathematical
         # ties cannot be broken by float summation noise
         j = int(np.argmax(edges >= edges.max() - 2e-12))
@@ -270,19 +254,15 @@ def adaboost_binary(mislabel, Hspace, T):
         alpha, clamped = _step(delta)
         if delta <= 0.0:
             negative += 1
-        Ft = Ft + alpha * values[j]
-        rounds.append(BoostRound(t, Hspace[j], j, delta, alpha, Z,
+        Ft = Ft + alpha * V[j]
+        rounds.append(BoostRound(t, j, delta, alpha, Z,
                                  float(np.exp(np.minimum(Ft, 700.0)).sum()),
                                  extra={"dist": dist}))
-        alphas.append(alpha)
-        chosen.append(j)
         if clamped:
             separated = True
             break
-    run = BoostRun(rounds, None, None, separated=separated,
-                   negative_edge_rounds=negative,
-                   extra={"F_tilde": Ft, "chosen": chosen})
-    return run
+    return BoostRun(rounds, None, separated=separated,
+                    negative_edge_rounds=negative, extra={"F_tilde": Ft})
 
 
 def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
@@ -290,8 +270,9 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
     mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")
-    mislabel, transformed = transform_mislabel(dataset, Hspace)
-    bin_run = adaboost_binary(mislabel, transformed, T)
+    mislabel, V = transform_mislabel(dataset, Hspace)
+    bin_run = adaboost_binary(V, T)
+    P = prediction_matrix(Hspace, dataset)
 
     y = dataset.labels - 1
     ti, ty, tl = mislabel.columns
@@ -299,7 +280,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
         return False, "round counts differ"
     f = np.zeros((dataset.m, dataset.k))
     for ra, rb in zip(mm.rounds, bin_run.rounds):
-        if ra.classifier_index != rb.classifier_index:
+        if ra.classifier is not Hspace[rb.classifier]:
             return False, f"round {ra.t}: different classifier"
         if abs(ra.alpha - rb.alpha) > tol:
             return False, f"round {ra.t}: weights differ"
@@ -309,7 +290,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
         mm_w /= mm_w.sum()
         if np.max(np.abs(mm_w - rb.extra["dist"])) > tol:
             return False, f"round {ra.t}: per-triple weights differ"
-        f[np.arange(dataset.m), rb.classifier.preds - 1] += ra.alpha
+        f[np.arange(dataset.m), P[rb.classifier] - 1] += ra.alpha
     ft = bin_run.extra["F_tilde"]
     mm_ft = f[ti, tl - 1] - f[ti, ty - 1]
     if np.max(np.abs(ft - mm_ft)) > max(tol, 1e-8):

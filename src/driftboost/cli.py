@@ -9,7 +9,6 @@ import os
 import sys
 
 from . import harness
-from .potentials import EXP, ZERO_ONE, LossSpec
 
 
 def _default_out():
@@ -17,15 +16,11 @@ def _default_out():
 
 
 def _add_common(p):
+    """The edge and loss options, and the output directory."""
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--loss", choices=("zeroone", "exp"), default="zeroone")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-
-
-def _loss(args):
-    return LossSpec(EXP, args.eta) if args.loss == "exp" else LossSpec(ZERO_ONE)
 
 
 def build_parser():
@@ -44,6 +39,7 @@ def build_parser():
                     default="greedy")
     tr.add_argument("--tree-size", type=int, default=5)
     _add_common(tr)
+    tr.add_argument("--seed", type=int, default=0)
 
     ev = sub.add_parser("eval", help="evaluate a saved model on a CSV")
     ev.add_argument("model")
@@ -64,10 +60,10 @@ def build_parser():
                         help="AdaBoost.MM vs binary AdaBoost on the transform")
     eq.add_argument("--trials", type=int, default=20)
     eq.add_argument("--rounds", type=int, default=20)
-    _add_common(eq)
+    eq.add_argument("--seed", type=int, default=0)
 
     fx = sub.add_parser("fixtures", help="write counterexample fixtures")
-    _add_common(fx)
+    fx.add_argument("--out", default=None)
     return ap
 
 
@@ -75,6 +71,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None) or _default_out()
     try:
+        loss = harness._loss_from_cfg(vars(args))
         if args.command == "train":
             cfg = {"data": args.data, "label": args.label,
                    "split": args.split, "algo": args.algo,
@@ -91,12 +88,11 @@ def main(argv=None):
                 print(f"{key}\t{metrics[key]}")
         elif args.command == "potentials":
             text = harness.emit_potential_table(args.k, args.gamma,
-                                                args.rounds, _loss(args),
+                                                args.rounds, loss,
                                                 args.minimal)
             _write_or_print(out, "potentials.tsv", text)
         elif args.command == "degree-map":
-            text = harness.emit_degree_map(args.gamma, _loss(args),
-                                           args.rounds)
+            text = harness.emit_degree_map(args.gamma, loss, args.rounds)
             _write_or_print(out, "degree_map.tsv", text)
         elif args.command == "equivalence-check":
             passed, total, details = harness.equivalence_check(

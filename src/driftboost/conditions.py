@@ -12,6 +12,13 @@ solve it exactly and report a duality gap recomputed from the two
 returned certificates (mixture and cost matrix), not trusted from the
 solver.
 
+The cost rows are built from the labels alone (_vertex_rows), one (m, r, k)
+table per family. EOR shares MH's rows -e_y and e_l (l != y): the EOR cone
+{c : c(y) <= c(l)} is MH's cone plus the line R.1, which no zero-sum
+payoff row sees, and its other normalized rays (e_l - e_y)/2 are
+midpoints of two MH rows, so they change neither the game value nor the
+upper bound solve_game reports.
+
 A finite classifier space is carried as one (n, m) prediction matrix
 P[j, i] = h_j(x_i) (core.prediction_matrix); the LP coefficients, H_lambda
 and the certificate bounds are read from it by indexing. Both games, the
@@ -117,35 +124,6 @@ def edge(C, h, B, dataset):
 
 # ---------------------------------------------------------------- the game
 
-def _row_vertices(family, k, y):
-    """Extreme rays of the family cone for one row, l1-normalized."""
-    e = np.eye(k)
-    out = []
-    if family == "SAM":
-        v = np.full(k, 1.0 / (k - 1))
-        v[y] = 0.0
-        out.append(v)
-    elif family == "M1":
-        v = np.full(k, 1.0 / k)
-        v[y] = -1.0 / k
-        out.append(v)
-    elif family == "MH":
-        out.append(-e[y])
-        out.extend(e[l] for l in range(k) if l != y)
-    elif family == "MR":
-        out.extend((e[l] - e[y]) / 2.0 for l in range(k) if l != y)
-    elif family == "EOR":
-        # the cone contains the line R.1, irrelevant whenever the payoff
-        # row sums to zero (row-stochastic H_lambda and B), which holds
-        # for every game posed here
-        out.append(-e[y])
-        out.extend(e[l] for l in range(k) if l != y)
-        out.extend((e[l] - e[y]) / 2.0 for l in range(k) if l != y)
-    else:
-        raise ValueError(f"no vertex set for family {family}")
-    return out
-
-
 @dataclass(frozen=True)
 class GameValueReport:
     value: float            # certified upper bound on the game value
@@ -163,11 +141,30 @@ class GameValueReport:
 
 
 def _vertex_rows(family, k, y):
-    """(m, r, k) array: each example's cost rows, from its label."""
+    """(m, r, k) array: each example's extreme cost rows, l1-normalized,
+    from the one-hot true label e_y and wrong labels e_l (l != y,
+    ascending)."""
+    one_hot = np.eye(k)
+    true = one_hot[y][:, None, :]
+    wrong = one_hot[wrong_labels(y + 1, k) - 1]
+    if family == "SAM":
+        rows = (1.0 - true) / (k - 1)
+    elif family == "M1":
+        rows = (1.0 - 2.0 * true) / k
+    elif family == "MR":
+        rows = (wrong - true) / 2.0
+    elif family in ("MH", "EOR"):
+        # EOR: the cone also contains the line R.1, irrelevant whenever
+        # the payoff row sums to zero (row-stochastic H_lambda and B),
+        # which holds for every game posed here. Its rays (e_l - e_y)/2
+        # are left out: each is the midpoint of the kept rows e_l and -e_y,
+        # so it moves neither the LP optimum nor the upper bound
+        rows = np.concatenate((-true, wrong), axis=1)
+    else:
+        raise ValueError(f"no vertex set for family {family}")
     # + 0.0 turns the -0.0 entries of -e_y into +0.0, the value of the
     # dot product v . 1_h(x_i), so A_ub holds exactly those products
-    table = np.array([_row_vertices(family, k, l) for l in range(k)]) + 0.0
-    return table[y]
+    return rows + 0.0
 
 
 def _solve_lp(P, rows, B, per_example):

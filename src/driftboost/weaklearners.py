@@ -21,13 +21,11 @@ def best_response(Hspace, C, dataset):
 
 
 class BestResponseLearner:
-    """Learner closure over a fixed finite space; tags members with
-    their index so runs can be compared classifier-for-classifier."""
+    """Learner closure over a fixed finite space; it returns members of
+    the space itself, so runs compare classifiers by identity."""
 
     def __init__(self, Hspace):
         self.space = list(Hspace)
-        for j, h in enumerate(self.space):
-            h.index = j
 
     def __call__(self, dataset, C):
         return best_response(self.space, C, dataset)

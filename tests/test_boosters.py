@@ -189,8 +189,8 @@ class TestTransform:
     def test_classifier_values(self):
         d = indexed_dataset([1, 2], 3)
         h = TableClassifier([1, 1])
-        mis, (ht,) = bst.transform_mislabel(d, [h])
-        vals = dict(zip(zip(*mis.columns), ht.values(mis)))
+        mis, (v,) = bst.transform_mislabel(d, [h])
+        vals = dict(zip(zip(*mis.columns), v))
         assert vals[(0, 1, 2)] == -1.0  # h correct: -1
         assert vals[(1, 2, 1)] == 1.0   # h predicts the mislabel: +1
         assert vals[(1, 2, 3)] == 0.0   # neither
@@ -199,11 +199,11 @@ class TestTransform:
         rng = np.random.default_rng(4)
         d = indexed_dataset(rng.integers(1, 4, 6), 3)
         space = [TableClassifier(rng.integers(1, 4, 6)) for _ in range(3)]
-        mis, tspace = bst.transform_mislabel(d, space)
+        _, V = bst.transform_mislabel(d, space)
         alphas = rng.uniform(0, 1, 3)
         F = ScoringFunction(tuple(zip(space, alphas)), 3)
         ftab = F.score_table(d)
-        f_tilde = sum(a * ht.values(mis) for a, ht in zip(alphas, tspace))
+        f_tilde = sum(a * v for a, v in zip(alphas, V))
         # risk-hat(F) = (k-1) * mean over triples of e^{F~} (all labels -1)
         want = (d.k - 1) * float(np.mean(np.exp(f_tilde)))
         assert exp_risk(ftab, d) == pytest.approx(want, abs=1e-10)
@@ -212,14 +212,14 @@ class TestTransform:
 class TestAdaBoostBinary:
     def test_empty_run(self):
         d = indexed_dataset([1, 2], 2)
-        mis, tspace = bst.transform_mislabel(d, [TableClassifier([1, 2])])
-        run = bst.adaboost_binary(mis, tspace, 0)
+        _, V = bst.transform_mislabel(d, [TableClassifier([1, 2])])
+        run = bst.adaboost_binary(V, 0)
         assert run.rounds == []
 
     def test_perfect_hypothesis_clamps(self):
         d = indexed_dataset([1, 2], 2)
-        mis, tspace = bst.transform_mislabel(d, [TableClassifier([1, 2])])
-        run = bst.adaboost_binary(mis, tspace, 5)
+        _, V = bst.transform_mislabel(d, [TableClassifier([1, 2])])
+        run = bst.adaboost_binary(V, 5)
         assert run.separated and run.rounds[0].edge == pytest.approx(1.0)
 
 
@@ -261,9 +261,10 @@ class TestFiniteSpaceProperty:
                  for h in space]
         assert best_response(space, C, d) is space[costs.index(min(costs))]
 
-        mis, tspace = bst.transform_mislabel(d, space)
-        for h, ht in zip(space, tspace):
-            for (i, y, l), v in zip(zip(*mis.columns), ht.values(mis)):
+        mis, V = bst.transform_mislabel(d, space)
+        assert V.shape == (len(space), mis.size)
+        for h, row in zip(space, V):
+            for (i, y, l), v in zip(zip(*mis.columns), row):
                 p = h.predictions[ids[i]]
                 assert v == float(p == l) - float(p == y)
 

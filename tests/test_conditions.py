@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from driftboost import conditions as cnd
 from driftboost.core import (Baseline, CostMatrix, TableClassifier,
@@ -282,6 +283,25 @@ def random_eor_rows(rng, labels, k, gamma):
     return rows
 
 
+def family_rows(family, k, y):
+    """The l1-normalized cost rows of one example with true label index y:
+    EOR uses MH's rows -e_y and e_l; "EOR-all" adds the midpoints
+    (e_l - e_y)/2."""
+    e = np.eye(k)
+    wrong = [e[l] for l in range(k) if l != y]
+    if family == "SAM":
+        return [np.where(np.arange(k) == y, 0.0, 1.0 / (k - 1))]
+    if family == "M1":
+        return [np.where(np.arange(k) == y, -1.0 / k, 1.0 / k)]
+    if family == "MR":
+        return [(w - e[y]) / 2.0 for w in wrong]
+    if family in ("MH", "EOR"):
+        return [-e[y]] + wrong
+    if family == "EOR-all":
+        return [-e[y]] + wrong + [(w - e[y]) / 2.0 for w in wrong]
+    raise ValueError(family)
+
+
 def game_lp_per_row(space, d, family, B):
     """The condition-game LP built one row at a time: a constraint per
     (example, vertex) with coefficients v . 1_h(x_i), one slack per
@@ -291,7 +311,7 @@ def game_lp_per_row(space, d, family, B):
     preds = [h.predict_all(d) for h in space]
     rows, rhs = [], []
     for i in range(m):
-        for v in cnd._row_vertices(family, k, y[i]):
+        for v in family_rows(family, k, y[i]):
             coef = np.zeros(n + m)
             coef[:n] = [v @ np.eye(k)[p[i] - 1] for p in preds]
             coef[n + i] = -1.0
@@ -371,3 +391,30 @@ class TestLpInputs:
             cnd.is_boostable(space, d)
             (got,) = calls
             self.check(got, separation_lp_per_row(space, d))
+
+
+class TestEorRows:
+    """The EOR game keeps only MH's rows; its value is the optimum of the
+    LP over all 2k - 1 rows, midpoints (e_l - e_y)/2 included."""
+
+    def test_value_equals_all_rows_optimum(self):
+        rng = random.Random(43)
+        nrng = np.random.default_rng(43)
+        for trial in range(40):
+            m, k, n = rng.randint(1, 8), rng.randint(2, 5), rng.randint(1, 8)
+            d, space = random_dataset_space(rng, m, k, n)
+            baseline = None
+            if trial % 2:
+                baseline = Baseline(random_eor_rows(nrng, d.labels, k, 0.1),
+                                    "EOR", 0.1)
+            cond = cnd.make_condition("EOR-fixed", 0.1, d, baseline)
+            rep = cnd.solve_game(space, cond, d)
+            A, b, c, bounds = game_lp_per_row(space, d, "EOR-all",
+                                              cond.baseline.entries)
+            assert A.shape[0] == m * (2 * k - 1)
+            full = linprog(c, A_ub=A, b_ub=b,
+                           A_eq=(c == 0.0).astype(float)[None, :],
+                           b_eq=[1.0], bounds=bounds, method="highs")
+            assert full.success
+            assert rep.value == pytest.approx(full.fun, abs=1e-7)
+            assert rep.cost_matrix.validate(d.labels)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,15 @@ def window_csv(path, m, gamma_prime):
         fh.write("x,label\n")
         for x, y in zip(d.columns[0].tolist(), d.labels.tolist()):
             fh.write(f"{x},{y}\n")
+
+
+def readme_invocations():
+    """The argument lists of the driftboost commands in the README's CLI
+    section, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("driftboost ")]
 
 
 def rows(d):
@@ -370,6 +381,34 @@ class TestCli:
         assert cli.main(["fixtures", "--out", str(tmp_path / "fx")]) == 0
         assert cli.main(["equivalence-check", "--trials", "3",
                          "--rounds", "15", "--seed", "2"]) == 0
+
+    def test_readme_invocations(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        window_csv(tmp_path / "data.csv", 11, 0.1)
+        calls = readme_invocations()
+        assert [argv[0] for argv in calls] == [
+            "train", "eval", "potentials", "degree-map",
+            "equivalence-check", "fixtures"]
+        for argv in calls:
+            assert cli.main(argv) == 0, argv
+
+    # options these subcommands never read: argparse rejects them
+    @pytest.mark.parametrize("argv", [
+        ["potentials", "--seed", "1"], ["degree-map", "--seed", "1"],
+        ["equivalence-check", "--gamma", "0.1"],
+        ["equivalence-check", "--eta", "0.2"],
+        ["equivalence-check", "--loss", "exp"],
+        ["equivalence-check", "--out", "eq"],
+        ["fixtures", "--gamma", "0.1"], ["fixtures", "--eta", "0.2"],
+        ["fixtures", "--loss", "exp"], ["fixtures", "--seed", "1"]])
+    def test_unread_options_are_rejected(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     def test_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRIFTBOOST_OUT", str(tmp_path / "envout"))

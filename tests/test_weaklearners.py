@@ -3,7 +3,8 @@ import pytest
 
 from driftboost import conditions as cnd
 from driftboost.core import Dataset, TableClassifier, indexed_dataset
-from driftboost.weaklearners import (FullSpaceBestResponse, TreeLearner,
+from driftboost.weaklearners import (BestResponseLearner,
+                                     FullSpaceBestResponse, TreeLearner,
                                      best_response, greedy_tree, stump,
                                      tree_from_dict)
 
@@ -42,6 +43,12 @@ class TestBestResponse:
             got = best_response(space, C, d)
             lo = cost_of(got, C, d)
             assert all(lo <= cost_of(h, C, d) + 1e-12 for h in space)
+
+    def test_learner_leaves_classifiers_untagged(self):
+        d, space = cnd.figure_one_fixture()
+        learner = BestResponseLearner(space)
+        assert learner(d, np.zeros((2, 3))) is space[0]
+        assert not any(hasattr(h, "index") for h in space)
 
 
 class TestFullSpaceBestResponse:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Baseline, CostMatrix, ScoringFunction, prediction_matrix,
-                   training_error, wrong_labels)
+                   training_error, true_label_first, wrong_labels)
 from .potentials import EXP, potential_fixed
 from .weaklearners import BestResponseLearner
 
@@ -154,8 +154,7 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         raise ValueError("OS booster needs an edge-over-random baseline")
     m, k = dataset.m, dataset.k
     rows = np.arange(m)[:, None]
-    order = np.concatenate((dataset.labels[:, None],
-                            wrong_labels(dataset.labels, k)), axis=1) - 1
+    order = true_label_first(dataset.labels, k) - 1
     b = baseline.entries[rows, order]
     alpha = loss.eta if loss.kind == EXP else 1.0
 
@@ -207,28 +206,23 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
 
 # ---------------------------------------------------- mislabel transform
 
-@dataclass(frozen=True, eq=False)
-class MislabelDataset:
-    """m(k-1) all-negative binary examples, one triple (i, y_i, l) per
-    wrong label l, ordered by example, then by l."""
-    columns: tuple  # three int arrays: example index, y, l
-
-    @property
-    def size(self):
-        return len(self.columns[0])
+def _mislabel(dataset, P):
+    """transform_mislabel over the prediction matrix P of the space."""
+    m, k = dataset.m, dataset.k
+    i = np.repeat(np.arange(m), k - 1)
+    y = np.repeat(dataset.labels, k - 1)
+    l = wrong_labels(dataset.labels, k).ravel()
+    p = P[:, i]
+    return (i, y, l), (p == l).astype(float) - (p == y)
 
 
 def transform_mislabel(dataset, Hspace):
-    """(mislabel, V): the triples, and the transformed space as one (n,
-    m(k-1)) float matrix V[j, q] = 1[h_j(x_i) = l] - 1[h_j(x_i) = y] for
-    triple q = (i, y, l), in {-1, 0, +1}."""
-    m, k = dataset.m, dataset.k
-    mislabel = MislabelDataset((np.repeat(np.arange(m), k - 1),
-                                np.repeat(dataset.labels, k - 1),
-                                wrong_labels(dataset.labels, k).ravel()))
-    i, y, l = mislabel.columns
-    p = prediction_matrix(Hspace, dataset)[:, i]
-    return mislabel, (p == l).astype(float) - (p == y)
+    """((i, y, l), V): the m(k-1) all-negative binary examples as three
+    int arrays, one triple (example, its label y_i, wrong label l) per
+    wrong label, ordered by example, then by l; and the transformed space
+    as one (n, m(k-1)) float matrix V[j, q] = 1[h_j(x_i) = l] -
+    1[h_j(x_i) = y] for triple q, in {-1, 0, +1}."""
+    return _mislabel(dataset, prediction_matrix(Hspace, dataset))
 
 
 def adaboost_binary(V, T):
@@ -270,12 +264,11 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
     mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")
-    mislabel, V = transform_mislabel(dataset, Hspace)
-    bin_run = adaboost_binary(V, T)
     P = prediction_matrix(Hspace, dataset)
+    (ti, ty, tl), V = _mislabel(dataset, P)
+    bin_run = adaboost_binary(V, T)
 
     y = dataset.labels - 1
-    ti, ty, tl = mislabel.columns
     if len(mm.rounds) != len(bin_run.rounds):
         return False, "round counts differ"
     f = np.zeros((dataset.m, dataset.k))

@@ -1,6 +1,6 @@
 """Weak-learning conditions as (cost-family, baseline) pairs.
 
-Includes baseline constructors for every condition in the framework, the
+Includes one table of the fixed baselines (SAMME, M1, MH, MR), the
 zero-sum game solver certifying satisfaction/violation on finite
 classifier spaces, a boostability (linear separation) check, and the
 counterexample fixtures.
@@ -35,82 +35,62 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (Baseline, CostMatrix, TableClassifier, indexed_dataset,
-                   prediction_matrix, wrong_labels)
+                   prediction_matrix, true_label_first, wrong_labels)
+from .potentials import check_eor_rows, check_gamma
 
 
 # ---------------------------------------------------------------- baselines
 
+# condition -> (cost family, baseline kind, wrong-label entry, true-label
+# entry); entries are functions of (gamma, k)
+_BASELINES = {
+    "SAMME": ("SAM", "U", lambda g, k: (1.0 - g) / k,
+              lambda g, k: (1.0 - g) / k + g),
+    "M1": ("M1", "M1", lambda g, k: 0.0, lambda g, k: g),
+    "MH": ("MH", "MH", lambda g, k: 0.5 - g / 2.0, lambda g, k: 0.5 + g / 2.0),
+    "MR": ("MR", "MR", lambda g, k: -g / 2.0, lambda g, k: g / 2.0),
+}
+
+
+def _baseline(name, dataset, gamma):
+    check_gamma(gamma)
+    _, kind, wrong, true = _BASELINES[name]
+    m, k = dataset.m, dataset.k
+    entries = np.full((m, k), wrong(gamma, k))
+    entries[np.arange(m), dataset.labels - 1] = true(gamma, k)
+    return Baseline(entries, kind)
+
+
 def uniform_baseline(dataset, gamma):
     """U_gamma: (1-gamma)/k everywhere plus gamma on the true label."""
-    m, k = dataset.m, dataset.k
-    entries = np.full((m, k), (1.0 - gamma) / k)
-    entries[np.arange(m), dataset.labels - 1] += gamma
-    return Baseline(entries, "U", gamma)
-
-
-def m1_baseline(dataset, gamma):
-    m, k = dataset.m, dataset.k
-    entries = np.zeros((m, k))
-    entries[np.arange(m), dataset.labels - 1] = gamma
-    return Baseline(entries, "M1", gamma)
-
-
-def mh_baseline(dataset, gamma):
-    m, k = dataset.m, dataset.k
-    entries = np.full((m, k), 0.5 - gamma / 2.0)
-    entries[np.arange(m), dataset.labels - 1] = 0.5 + gamma / 2.0
-    return Baseline(entries, "MH", gamma)
-
-
-def mr_baseline(dataset, gamma):
-    m, k = dataset.m, dataset.k
-    entries = np.full((m, k), -gamma / 2.0)
-    entries[np.arange(m), dataset.labels - 1] = gamma / 2.0
-    return Baseline(entries, "MR", gamma)
+    return _baseline("SAMME", dataset, gamma)
 
 
 def eor_baseline(dataset, rows, gamma):
-    """Baseline with every row in Delta_gamma^k (true-label convention
-    already applied: rows are over labels, not reordered)."""
+    """Baseline of rows over labels (not reordered), each in Delta_gamma^k."""
     entries = np.asarray(rows, dtype=float)
-    y = dataset.labels - 1
-    for i in range(dataset.m):
-        row = entries[i]
-        if row.min() < -1e-12 or abs(row.sum() - 1.0) > 1e-9:
-            raise ValueError(f"baseline row {i} is not a distribution")
-        others = np.delete(row, y[i])
-        if abs((row[y[i]] - gamma) - others.max()) > 1e-9:
-            raise ValueError(f"baseline row {i} violates b(y) = max other + gamma")
-    return Baseline(entries, "EOR", gamma)
+    order = true_label_first(dataset.labels, dataset.k) - 1
+    check_eor_rows(entries[np.arange(dataset.m)[:, None], order], gamma)
+    return Baseline(entries, "EOR")
 
 
 @dataclass(frozen=True)
 class Condition:
-    name: str            # SAMME | M1 | MH | MR | EOR-fixed | MINIMAL
     family: str          # cost family tag
     baseline: Baseline   # None for MINIMAL (the whole family B^eor_gamma)
-    gamma: float
 
 
 def make_condition(name, gamma, dataset, baseline=None):
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("need 0 <= gamma < 1")
-    if name == "SAMME":
-        return Condition(name, "SAM", uniform_baseline(dataset, gamma), gamma)
-    if name == "M1":
-        return Condition(name, "M1", m1_baseline(dataset, gamma), gamma)
-    if name == "MH":
-        return Condition(name, "MH", mh_baseline(dataset, gamma), gamma)
-    if name == "MR":
-        return Condition(name, "MR", mr_baseline(dataset, gamma), gamma)
+    if name in _BASELINES:
+        return Condition(_BASELINES[name][0], _baseline(name, dataset, gamma))
     if name == "EOR-fixed":
         if baseline is None:
-            baseline = uniform_baseline(dataset, gamma)
-        else:
-            baseline = eor_baseline(dataset, baseline.entries, gamma)
-        return Condition(name, "EOR", baseline, gamma)
+            return Condition("EOR", uniform_baseline(dataset, gamma))
+        eor_baseline(dataset, baseline.entries, gamma)  # checks the rows
+        return Condition("EOR", baseline)
     if name == "MINIMAL":
-        return Condition(name, "EOR", None, gamma)
+        check_gamma(gamma)
+        return Condition("EOR", None)
     raise ValueError(f"unknown condition {name}")
 
 
@@ -129,7 +109,6 @@ class GameValueReport:
     value: float            # certified upper bound on the game value
     mixture: np.ndarray     # lambda over Hspace achieving `value`
     cost_matrix: CostMatrix  # achieving cost matrix (lower-bound certificate)
-    iterations: int
     gap: float              # value - min_h cost_matrix.(1_h - B), >= 0
     satisfied: bool         # value <= tolerance
 
@@ -173,7 +152,7 @@ def _solve_lp(P, rows, B, per_example):
     rows[i, q] . (H_lambda(i) - B(i)) <= slack, with one slack >= 0 per
     example (per_example) or one free slack shared by every row.
 
-    Returns (lambda, H_lambda, certificate, lower, iterations): the
+    Returns (lambda, H_lambda, certificate, lower): the
     certificate is the cost matrix sum_q mu[i, q] rows[i, q] of the dual
     weights mu, and lower = min_j certificate . (1_{h_j} - B)."""
     n, m = P.shape
@@ -206,7 +185,7 @@ def _solve_lp(P, rows, B, per_example):
     cert = np.einsum("ir,irk->ik", mu, rows)
     lower = float(cert[np.arange(m), P - 1].sum(axis=1).min()
                   - (cert * B).sum())
-    return lam, H_lam, cert, lower, int(getattr(res, "nit", 0))
+    return lam, H_lam, cert, lower
 
 
 def solve_game(Hspace, cond, dataset, tol=1e-7):
@@ -216,14 +195,14 @@ def solve_game(Hspace, cond, dataset, tol=1e-7):
     y = dataset.labels - 1
     B = cond.baseline.entries
     rows = _vertex_rows(cond.family, dataset.k, y)
-    lam, H_lam, cert, lower, nit = _solve_lp(
+    lam, H_lam, cert, lower = _solve_lp(
         prediction_matrix(Hspace, dataset), rows, B, per_example=True)
     M = H_lam - B
     upper = float(np.maximum(np.einsum("irk,ik->ir", rows, M).max(axis=1),
                              0.0).sum())
     gap = max(0.0, upper - lower)
-    return GameValueReport(upper, lam, CostMatrix(cert, cond.family), nit,
-                           gap, upper <= tol)
+    return GameValueReport(upper, lam, CostMatrix(cert, cond.family), gap,
+                           upper <= tol)
 
 
 @dataclass(frozen=True)
@@ -242,7 +221,7 @@ def is_boostable(Hspace, dataset, tol=1e-7):
     y = dataset.labels - 1
     # the rows e_l - e_y, l != y: the MR vertices, unscaled
     rows = 2.0 * _vertex_rows("MR", k, y)
-    lam, H_lam, cert, lower, _ = _solve_lp(
+    lam, H_lam, cert, lower = _solve_lp(
         prediction_matrix(Hspace, dataset), rows, np.zeros((m, k)),
         per_example=False)
     wrong = H_lam.copy()
@@ -286,17 +265,13 @@ def window_fixture(m, gamma_prime):
         raise ValueError("need m > 1/gamma_prime")
     if k * gamma_prime >= 1.0:
         raise ValueError("k * gamma_prime must stay below 1")
-    labels = [(i % k) + 1 for i in range(m)]
+    labels = np.arange(m) % k + 1
     dataset = indexed_dataset(labels, k)
     yhat = wrong_labels(dataset.labels, k)[:, 0]
     w = int(math.floor(m * (0.5 + gamma_prime)))
-    space = []
-    for j in range(m):
-        preds = yhat.copy()
-        for step in range(w):
-            i = (j + step) % m
-            preds[i] = labels[i]
-        space.append(TableClassifier(preds))
+    # P[j, i]: the true label for i = j, ..., j + w - 1 (mod m), else yhat
+    window = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m < w
+    space = [TableClassifier(p) for p in np.where(window, labels, yhat)]
     cost = np.zeros((m, k))
     cost[np.arange(m), yhat - 1] = 1.0
     return dataset, space, CostMatrix(cost, "EOR")
@@ -310,19 +285,13 @@ def mh_overdemand_fixture(k, gamma, m):
     n = round(size)
     if abs(size - n) > 1e-9 or not 1 <= n <= m:
         raise ValueError("(1/k + gamma) m must be a positive integer <= m")
-    labels = [(i % k) + 1 for i in range(m)]
+    labels = np.arange(m) % k + 1
     dataset = indexed_dataset(labels, k)
-    counters = [0] * m
-    space = []
-    for subset in itertools.combinations(range(m), n):
-        chosen = set(subset)
-        preds = np.empty(m, dtype=int)
-        for i in range(m):
-            if i in chosen:
-                preds[i] = labels[i]
-            else:
-                offset = counters[i] % (k - 1)
-                counters[i] += 1
-                preds[i] = ((labels[i] - 1 + 1 + offset) % k) + 1
-        space.append(TableClassifier(preds))
-    return dataset, space
+    subsets = np.array(list(itertools.combinations(range(m), n)))
+    chosen = np.zeros((len(subsets), m), dtype=bool)
+    chosen[np.arange(len(subsets))[:, None], subsets] = True
+    # a wrong prediction of example i takes the wrong label after y_i
+    # rotated by the number of earlier classifiers wrong on i
+    offset = (np.cumsum(~chosen, axis=0) - 1) % (k - 1)
+    P = np.where(chosen, labels, (labels + offset) % k + 1)
+    return dataset, [TableClassifier(p) for p in P]

@@ -92,6 +92,12 @@ def wrong_labels(labels, k):
     return wrong + (wrong >= np.asarray(labels, dtype=int)[:, None])
 
 
+def true_label_first(labels, k):
+    """(m, k) int array: each example's own label, then wrong_labels."""
+    labels = np.asarray(labels, dtype=int)
+    return np.concatenate((labels[:, None], wrong_labels(labels, k)), axis=1)
+
+
 def prediction_matrix(Hspace, dataset):
     """A finite classifier space as one (n, m) int array P[j, i] = h_j(x_i)."""
     return np.array([h.predict_all(dataset) for h in Hspace],
@@ -110,8 +116,11 @@ class ScoringFunction:
 
     def score_table(self, dataset):
         f = np.zeros((dataset.m, dataset.k))
-        for h, alpha in self.provenance:
+        for t, (h, alpha) in enumerate(self.provenance, start=1):
             preds = h.predict_all(dataset)
+            if preds.min() < 1 or preds.max() > dataset.k:
+                raise ValueError(f"classifier {t} predicts a label outside "
+                                 f"1..{dataset.k}")
             f[np.arange(dataset.m), preds - 1] += alpha
         return f
 
@@ -196,4 +205,3 @@ class CostMatrix:
 class Baseline:
     entries: np.ndarray
     kind: str       # EOR, U, M1, MH, MR
-    gamma: float

@@ -113,12 +113,13 @@ def _loss_from_cfg(cfg):
 def run_experiment(cfg):
     """Train per cfg, write run.tsv + model.json + metrics.tsv into
     cfg['out']; returns the metrics dict."""
+    ratio, T = cfg.get("split", 0.8), cfg.get("rounds", 10)
+    if not 0.0 < ratio < 1.0 or T < 0:
+        raise ValueError("need 0 < split < 1 and rounds >= 0")
     dataset, meta = load_csv(cfg["data"], cfg.get("label"))
-    train, test = split_dataset(dataset, cfg.get("split", 0.8),
-                                cfg.get("seed", 0))
+    train, test = split_dataset(dataset, ratio, cfg.get("seed", 0))
     learner = _make_learner(cfg.get("learner", "greedy"),
                             cfg.get("tree_size", 5))
-    T = cfg.get("rounds", 10)
     algo = cfg.get("algo", "mm-approx")
     loss = _loss_from_cfg(cfg)
     if algo in ("mm-approx", "mm-exact"):
@@ -189,6 +190,10 @@ def eval_model(model_path, data_path, label_column=None):
     columns; labels are numbered by the model's label names."""
     with open(model_path) as fh:
         model = json.load(fh)
+    if (not isinstance(model, dict)
+            or {"k", "label_map", "rounds"} - model.keys()):
+        raise ValueError(f"{model_path}: need a JSON object with keys k, "
+                         "label_map and rounds")
     dataset, _ = load_csv(data_path, label_column, model["label_map"])
     prov = tuple((weaklearners.tree_from_dict(r["tree"]), r["alpha"])
                  for r in model["rounds"])

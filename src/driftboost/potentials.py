@@ -29,10 +29,32 @@ class LossSpec:
 
 
 def loss_value(loss, s):
-    s = np.asarray(s, dtype=float)
+    """L(s): 1[s_1 <= max_l s_l] (ZERO_ONE) or sum_{l>=2} e^{eta (s_l - s_1)},
+    added in label order with math.exp (EXP)."""
+    diffs = [float(x - s[0]) for x in s[1:]]
     if loss.kind == ZERO_ONE:
-        return 1.0 if s[0] <= s[1:].max() else 0.0
-    return float(np.exp(loss.eta * (s[1:] - s[0])).sum())
+        return 1.0 if max(diffs) >= 0.0 else 0.0
+    return float(sum(math.exp(loss.eta * d) for d in diffs))
+
+
+def check_gamma(gamma):
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("need 0 <= gamma < 1")
+
+
+def check_eor_rows(rows, gamma):
+    """Raise ValueError unless 0 <= gamma < 1 and every row of the (m, k)
+    array rows, true label first, lies in Delta_gamma^k: a distribution
+    with b(1) - gamma = the largest other entry."""
+    check_gamma(gamma)
+    rows = np.asarray(rows, dtype=float)
+    off = (rows.min(axis=1) < -1e-12) | (np.abs(rows.sum(axis=1) - 1.0) > 1e-9)
+    bad = off | (np.abs((rows[:, 0] - gamma) - rows[:, 1:].max(axis=1)) > 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i} " + ("is not a probability vector" if off[i]
+                                        else "violates b(1) - gamma = max "
+                                        "other entry"))
 
 
 @dataclass(frozen=True)
@@ -42,18 +64,12 @@ class EorDistribution:
     gamma: float
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.min() < -1e-12 or abs(b.sum() - 1.0) > 1e-9:
-            raise ValueError("b must be a probability vector")
-        if abs((b[0] - self.gamma) - b[1:].max()) > 1e-9:
-            raise ValueError("b violates the edge-over-random equality")
-
-    @property
-    def k(self):
-        return len(self.b)
+        check_eor_rows([self.b], self.gamma)
 
 
 def gamma_biased_uniform(k, gamma):
+    if k < 2:
+        raise ValueError("need k >= 2")
     base = (1.0 - gamma) / k
     return EorDistribution((base + gamma,) + (base,) * (k - 1), gamma)
 
@@ -144,15 +160,11 @@ class MinimalPotential:
     def __init__(self, gamma, loss, k):
         if k < 2:
             raise ValueError("need k >= 2")
+        check_gamma(gamma)
         self.gamma = gamma
         self.loss = loss
         self.k = k
         self._memo = {}
-
-    def _loss_at(self, diffs):
-        if self.loss.kind == ZERO_ONE:
-            return 1.0 if max(diffs) >= 0 else 0.0
-        return float(sum(math.exp(self.loss.eta * d) for d in diffs))
 
     def _value_degree(self, t, diffs):
         key = (t, tuple(sorted(diffs, reverse=True)))
@@ -160,7 +172,7 @@ class MinimalPotential:
         if hit is not None:
             return hit
         if t == 0:
-            result = (self._loss_at(key[1]), self.k)
+            result = (loss_value(self.loss, (0,) + key[1]), self.k)
         else:
             d = list(key[1])
             child_true = self._value_degree(t - 1, [x - 1 for x in d])[0]

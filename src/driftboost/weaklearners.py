@@ -96,6 +96,9 @@ class Split(WeakClassifier):
 def tree_from_dict(d):
     if "leaf" in d:
         return Leaf(d["leaf"])
+    if {"feature", "threshold", "numeric", "left", "right"} - set(d):
+        raise ValueError(f"tree node {sorted(d)} is neither a leaf nor a "
+                         "full split")
     return Split(d["feature"], d["threshold"], d["numeric"],
                  tree_from_dict(d["left"]), tree_from_dict(d["right"]))
 

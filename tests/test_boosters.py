@@ -176,21 +176,21 @@ class TestTransform:
         mis, _ = bst.transform_mislabel(d, [])
         want = [(i, y, l) for i, y in enumerate(d.labels.tolist())
                 for l in range(1, d.k + 1) if l != y]
-        assert list(zip(*(c.tolist() for c in mis.columns))) == want
+        assert list(zip(*(c.tolist() for c in mis))) == want
 
     def test_sizes_and_uniqueness(self):
         d = indexed_dataset([1, 3], 3)
         mis, _ = bst.transform_mislabel(d, [])
-        assert mis.size == 4
-        assert len(set(zip(*mis.columns))) == 4
-        for i, y, l in zip(*mis.columns):
+        assert len(mis[0]) == 4
+        assert len(set(zip(*mis))) == 4
+        for i, y, l in zip(*mis):
             assert l != y
 
     def test_classifier_values(self):
         d = indexed_dataset([1, 2], 3)
         h = TableClassifier([1, 1])
         mis, (v,) = bst.transform_mislabel(d, [h])
-        vals = dict(zip(zip(*mis.columns), v))
+        vals = dict(zip(zip(*mis), v))
         assert vals[(0, 1, 2)] == -1.0  # h correct: -1
         assert vals[(1, 2, 1)] == 1.0   # h predicts the mislabel: +1
         assert vals[(1, 2, 3)] == 0.0   # neither
@@ -262,9 +262,9 @@ class TestFiniteSpaceProperty:
         assert best_response(space, C, d) is space[costs.index(min(costs))]
 
         mis, V = bst.transform_mislabel(d, space)
-        assert V.shape == (len(space), mis.size)
+        assert V.shape == (len(space), len(mis[0]))
         for h, row in zip(space, V):
-            for (i, y, l), v in zip(zip(*mis.columns), row):
+            for (i, y, l), v in zip(zip(*mis), row):
                 p = h.predictions[ids[i]]
                 assert v == float(p == l) - float(p == y)
 

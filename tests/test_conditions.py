@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,13 +36,13 @@ class TestMakeCondition:
 
     def test_eor_fixed_row_accepted(self):
         d = indexed_dataset([1], 3)
-        b = cnd.Baseline(np.array([[0.4667, 0.2667, 0.2666]]), "EOR", 0.2)
+        b = cnd.Baseline(np.array([[0.4667, 0.2667, 0.2666]]), "EOR")
         c = cnd.make_condition("EOR-fixed", 0.2, d, b)
         assert c.family == "EOR"
 
     def test_eor_fixed_bad_row_rejected(self):
         d = indexed_dataset([1], 3)
-        b = cnd.Baseline(np.array([[0.6, 0.3, 0.1]]), "EOR", 0.2)
+        b = cnd.Baseline(np.array([[0.6, 0.3, 0.1]]), "EOR")
         with pytest.raises(ValueError):
             cnd.make_condition("EOR-fixed", 0.2, d, b)
 
@@ -111,10 +112,9 @@ class TestSolveGame:
     def test_report_rejects_broken_invariants(self):
         cost = CostMatrix(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="sum to 1"):
-            cnd.GameValueReport(0.0, np.array([0.5, 0.4]), cost, 0, 0.0, True)
+            cnd.GameValueReport(0.0, np.array([0.5, 0.4]), cost, 0.0, True)
         with pytest.raises(ValueError, match="gap"):
-            cnd.GameValueReport(0.0, np.array([0.5, 0.5]), cost, 0, -1e-3,
-                                True)
+            cnd.GameValueReport(0.0, np.array([0.5, 0.5]), cost, -1e-3, True)
 
     def test_empty_space_rejected(self, figure_one):
         d, _ = figure_one
@@ -202,7 +202,7 @@ class TestMhOverdemandFixture:
     def test_mh_violation_value(self):
         k = 3
         d, space = cnd.mh_overdemand_fixture(k, 0.0, 3)
-        B = cnd.mh_baseline(d, 0.0)
+        B = cnd.make_condition("MH", 0.0, d).baseline
         C = np.zeros((d.m, k))
         C[np.arange(d.m), d.labels - 1] = -1.0
         # per-example violation 1/2 - 1/k for every classifier
@@ -211,7 +211,7 @@ class TestMhOverdemandFixture:
 
     def test_k2_boundary_no_violation(self):
         d, space = cnd.mh_overdemand_fixture(2, 0.0, 2)
-        B = cnd.mh_baseline(d, 0.0)
+        B = cnd.make_condition("MH", 0.0, d).baseline
         C = np.zeros((d.m, 2))
         C[np.arange(d.m), d.labels - 1] = -1.0
         for h in space:
@@ -225,6 +225,66 @@ class TestMhOverdemandFixture:
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError):
             cnd.mh_overdemand_fixture(3, 0.05, 4)
+
+
+def window_fixture_loops(m, gamma_prime):
+    """Reference: the window space built one prediction at a time."""
+    k = 3
+    labels = [(i % k) + 1 for i in range(m)]
+    yhat = [min(l for l in range(1, k + 1) if l != y) for y in labels]
+    w = int(math.floor(m * (0.5 + gamma_prime)))
+    space = []
+    for j in range(m):
+        preds = list(yhat)
+        for step in range(w):
+            i = (j + step) % m
+            preds[i] = labels[i]
+        space.append(preds)
+    cost = np.zeros((m, k))
+    cost[np.arange(m), np.array(yhat) - 1] = 1.0
+    return labels, space, cost
+
+
+def mh_overdemand_loops(k, gamma, m):
+    """Reference: the over-demand space built one prediction at a time."""
+    n = round((1.0 / k + gamma) * m)
+    labels = [(i % k) + 1 for i in range(m)]
+    counters = [0] * m
+    space = []
+    for subset in itertools.combinations(range(m), n):
+        chosen = set(subset)
+        preds = []
+        for i in range(m):
+            if i in chosen:
+                preds.append(labels[i])
+            else:
+                offset = counters[i] % (k - 1)
+                counters[i] += 1
+                preds.append(((labels[i] - 1 + 1 + offset) % k) + 1)
+        space.append(preds)
+    return labels, space
+
+
+class TestFixturesAgainstLoops:
+    @pytest.mark.parametrize("m, gamma_prime", [
+        (11, 0.1), (12, 0.1), (30, 0.05), (7, 0.3), (100, 0.02),
+        (50, 0.3), (21, 0.2), (40, 0.13), (9, 0.25), (16, 0.07)])
+    def test_window_fixture(self, m, gamma_prime):
+        d, space, cost = cnd.window_fixture(m, gamma_prime)
+        labels, preds, want = window_fixture_loops(m, gamma_prime)
+        assert d.labels.tolist() == labels
+        assert [h.predictions.tolist() for h in space] == preds
+        assert np.array_equal(cost.entries, want)
+
+    @pytest.mark.parametrize("k, gamma, m", [
+        (3, 0.0, 3), (2, 0.0, 2), (3, 0.0, 6), (4, 0.0, 8),
+        (3, 1 / 3 - 1 / 9, 9), (4, 0.25, 4), (5, 0.0, 10), (2, 0.25, 4),
+        (3, 0.0, 9), (4, 0.05, 20)])
+    def test_mh_overdemand_fixture(self, k, gamma, m):
+        d, space = cnd.mh_overdemand_fixture(k, gamma, m)
+        labels, preds = mh_overdemand_loops(k, gamma, m)
+        assert d.labels.tolist() == labels
+        assert [h.predictions.tolist() for h in space] == preds
 
 
 class TestEquivalences:
@@ -377,7 +437,7 @@ class TestLpInputs:
             d, space = random_dataset_space(rng, m, k, n)
             rows = random_eor_rows(nrng, d.labels, k, 0.1)
             cond = cnd.make_condition("EOR-fixed", 0.1, d,
-                                      Baseline(rows, "EOR", 0.1))
+                                      Baseline(rows, "EOR"))
             calls = capture_lps(monkeypatch)
             cnd.solve_game(space, cond, d)
             (got,) = calls
@@ -406,7 +466,7 @@ class TestEorRows:
             baseline = None
             if trial % 2:
                 baseline = Baseline(random_eor_rows(nrng, d.labels, k, 0.1),
-                                    "EOR", 0.1)
+                                    "EOR")
             cond = cnd.make_condition("EOR-fixed", 0.1, d, baseline)
             rep = cnd.solve_game(space, cond, d)
             A, b, c, bounds = game_lp_per_row(space, d, "EOR-all",

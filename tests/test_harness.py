@@ -449,3 +449,73 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error: round 1: Z contraction violated")
         assert "Traceback" not in err
+
+
+class TestCliRejectsBadInput:
+    """Each case used to run silently, print numpy's message, or end in
+    a traceback; now it exits 1 with one "error:" line."""
+
+    def run(self, argv, capsys):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        return err
+
+    # gamma outside [0, 1): the OS booster trained on negative
+    # "probabilities", and the potential tables were printed
+    @pytest.mark.parametrize("argv", [
+        ["train", "{data}", "--algo", "os", "--gamma", "1.5"],
+        ["train", "{data}", "--algo", "os", "--gamma", "-0.5"],
+        ["degree-map", "--gamma", "2", "--rounds", "2"],
+        ["potentials", "--gamma", "-0.2", "--minimal", "--rounds", "2"]])
+    def test_gamma_out_of_range(self, argv, tmp_path, capsys):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        argv = [a.format(data=data) for a in argv]
+        err = self.run(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert err.startswith("error: need 0 <= gamma < 1")
+
+    def test_potentials_k_below_two(self, tmp_path, capsys):
+        err = self.run(["potentials", "--k", "1", "--out", "-"], capsys)
+        assert err.startswith("error: need k >= 2")
+
+    # a split outside (0, 1) used to be clamped, negative rounds gave an
+    # empty model
+    @pytest.mark.parametrize("option", [
+        ["--split", "0"], ["--split", "-3"], ["--split", "1.7"],
+        ["--rounds", "-2"]])
+    def test_bad_split_or_rounds(self, option, tmp_path, capsys):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        out = tmp_path / "out"
+        err = self.run(["train", str(data), "--out", str(out)] + option,
+                       capsys)
+        assert err.startswith("error: need 0 < split < 1 and rounds >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, message", [
+        ({"k": 2, "label_map": {"a": 1, "b": 2}}, "need a JSON object"),
+        ({"k": 2, "rounds": []}, "need a JSON object"),
+        ([{"k": 2}], "need a JSON object"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"feature": 0, "left": {"leaf": 1},
+                                    "right": {"leaf": 2}}}]},
+         "tree node ['feature', 'left', 'right'] is neither a leaf nor a "
+         "full split"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}},
+            {"alpha": 1.0, "tree": {"leaf": 3}}]},
+         "classifier 2 predicts a label outside 1..2"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 0}}]},
+         "classifier 1 predicts a label outside 1..2")])
+    def test_malformed_model(self, model, message, tmp_path, capsys):
+        # each used to escape as a KeyError, TypeError or IndexError
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        data = tmp_path / "d.csv"
+        write_lines(data, "x,label", ["0,a", "1,b"])
+        err = self.run(["eval", str(path), str(data)], capsys)
+        assert err.startswith(f"error: {path}: {message}"
+                              if "JSON" in message else f"error: {message}")

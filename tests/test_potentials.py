@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
-                                   MinimalPotential, degree_map,
-                                   gamma_biased_uniform, kappa, loss_value,
-                                   minimal_vs_fixed_gap, potential_exp_closed,
-                                   potential_fixed, potential_minimal,
+                                   MinimalPotential, check_eor_rows,
+                                   degree_map, gamma_biased_uniform, kappa,
+                                   loss_value, minimal_vs_fixed_gap,
+                                   potential_exp_closed, potential_fixed,
+                                   potential_minimal,
                                    potential_oracle_bruteforce,
                                    potential_zeroone_dp)
 
@@ -39,6 +40,70 @@ class TestEorDistribution:
     def test_non_distribution_rejected(self):
         with pytest.raises(ValueError):
             EorDistribution((0.9, 0.3, -0.2), 0.6)
+
+
+def in_eor_per_row(row, gamma):
+    """Reference membership test of Delta_gamma^k, one row at a time."""
+    row = np.asarray(row, dtype=float)
+    if row.min() < -1e-12 or abs(row.sum() - 1.0) > 1e-9:
+        return False
+    return abs((row[0] - gamma) - row[1:].max()) <= 1e-9
+
+
+class TestEorCheck:
+    """check_eor_rows against the per-row reference."""
+
+    def random_rows(self, nrng, k, gamma, n):
+        """n members of Delta_gamma^k, true label first: wrong entries
+        s * d for a Dirichlet d, b(1) = s * max(d) + gamma, and s chosen
+        so the row sums to 1."""
+        d = nrng.dirichlet(np.ones(k - 1), size=n)
+        s = (1.0 - gamma) / (1.0 + d.max(axis=1, keepdims=True))
+        return np.concatenate((s * d.max(axis=1, keepdims=True) + gamma,
+                               s * d), axis=1)
+
+    def broken(self, nrng, row):
+        kind = nrng.integers(3)
+        row = row.copy()
+        if kind == 0:      # the equality breaks, still a distribution
+            row[0] -= 1e-3
+            row[1] += 1e-3
+        elif kind == 1:    # a negative entry
+            row[-1] = -1e-3
+        else:              # does not sum to 1
+            row *= 1.01
+        return row
+
+    def test_matches_per_row_reference(self):
+        nrng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(nrng.integers(2, 7))
+            gamma = float(nrng.choice([0.0, nrng.uniform(0.0, 0.3)]))
+            rows = self.random_rows(nrng, k, gamma, int(nrng.integers(1, 9)))
+            for i in nrng.choice(len(rows), int(nrng.integers(0, 3))):
+                rows[i] = self.broken(nrng, rows[i])
+            ok = [in_eor_per_row(r, gamma) for r in rows]
+            if all(ok):
+                check_eor_rows(rows, gamma)
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"^row {ok.index(False)} "):
+                    check_eor_rows(rows, gamma)
+
+    def test_passing_rows_are_members(self):
+        nrng = np.random.default_rng(6)
+        for k in range(2, 7):
+            for gamma in (0.0, 0.05, 0.2):
+                rows = self.random_rows(nrng, k, gamma, 20)
+                assert all(in_eor_per_row(r, gamma) for r in rows)
+                check_eor_rows(rows, gamma)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
+    def test_gamma_out_of_range(self, gamma):
+        with pytest.raises(ValueError, match="need 0 <= gamma < 1"):
+            check_eor_rows([[1.0, 0.0]], gamma)
+        with pytest.raises(ValueError, match="need 0 <= gamma < 1"):
+            MinimalPotential(gamma, ZO, 3)
 
 
 class TestFixedPotential:

@@ -4,9 +4,9 @@ plain binary AdaBoost, and the mislabel-triple transform tying the two
 together.
 
 Every loop works on whole arrays: the OS booster evaluates each round's
-potentials once per distinct (baseline row, s_l - s_1) key, the mislabel
-triples are three index arrays, and the transformed classifier space is
-one value matrix with a row per classifier and a column per triple.
+potentials as one batch of child states, the mislabel triples are three
+index arrays, and the transformed classifier space is one value matrix
+with a row per classifier and a column per triple.
 """
 
 import math
@@ -147,9 +147,8 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     phi^{b_i}_{T-t-1}(s_t(i) + e_l), alpha_t = 1 (ZERO_ONE) or eta (EXP).
 
     Potentials index coordinate 1 = true label, so each row's baseline
-    and states are reordered true-label-first. A potential reads a state
-    only through s_l - s_1, so a batch of lookups calls potential_fixed
-    once per distinct key (b_i, s - s_1) and scatters the values back."""
+    and states are reordered true-label-first; potential_fixed evaluates
+    each round's m*k child states as one batch."""
     if not isinstance(baseline, Baseline) or baseline.kind not in ("EOR", "U"):
         raise ValueError("OS booster needs an edge-over-random baseline")
     m, k = dataset.m, dataset.k
@@ -157,29 +156,14 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     order = true_label_first(dataset.labels, k) - 1
     b = baseline.entries[rows, order]
     alpha = loss.eta if loss.kind == EXP else 1.0
-
-    def phi(t, states):
-        """phi^{b_i}_t(states[i, r]) for true-label-first states (m, r, k)."""
-        diffs = (states - states[:, :, :1]).reshape(-1, k)
-        keys = np.concatenate((np.repeat(b, states.shape[1], axis=0), diffs),
-                              axis=1)
-        # one void scalar per (C-contiguous) key row: a 1-D unique is
-        # several times faster than np.unique(keys, axis=0)
-        void = keys.view(np.dtype((np.void, keys.itemsize * 2 * k))).ravel()
-        _, first, inverse = np.unique(void, return_index=True,
-                                      return_inverse=True)
-        values = np.array([potential_fixed(keys[j, :k], loss, t, diffs[j])
-                           for j in first])
-        return values[inverse].reshape(states.shape[:2])
-
     s = np.zeros((m, k), dtype=int)
     rounds, prov = [], []
-    initial = sum(phi(T, s[:, None, :])[:, 0].tolist()) / m
+    initial = sum(potential_fixed(b, loss, T, s).tolist()) / m
     all_satisfied = True
     for t in range(T):
         children = s[rows, order][:, None, :] + np.eye(k, dtype=int)
         C = np.empty((m, k))
-        C[rows, order] = phi(T - t - 1, children)
+        C[rows, order] = potential_fixed(b[:, None], loss, T - t - 1, children)
         h = learner(dataset, CostMatrix(C, "UNCONSTRAINED"))
         preds = h.predict_all(dataset)
         chosen = C[rows[:, 0], preds - 1]

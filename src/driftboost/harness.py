@@ -116,6 +116,7 @@ def run_experiment(cfg):
     ratio, T = cfg.get("split", 0.8), cfg.get("rounds", 10)
     if not 0.0 < ratio < 1.0 or T < 0:
         raise ValueError("need 0 < split < 1 and rounds >= 0")
+    potentials.check_gamma(cfg.get("gamma", 0.0))
     dataset, meta = load_csv(cfg["data"], cfg.get("label"))
     train, test = split_dataset(dataset, ratio, cfg.get("seed", 0))
     learner = _make_learner(cfg.get("learner", "greedy"),
@@ -191,15 +192,20 @@ def eval_model(model_path, data_path, label_column=None):
     with open(model_path) as fh:
         model = json.load(fh)
     if (not isinstance(model, dict)
-            or {"k", "label_map", "rounds"} - model.keys()):
+            or {"k", "label_map", "rounds"} - model.keys()
+            or not isinstance(model["rounds"], list)):
         raise ValueError(f"{model_path}: need a JSON object with keys k, "
-                         "label_map and rounds")
+                         "label_map and rounds (a list)")
+    for t, r in enumerate(model["rounds"], start=1):
+        if (not isinstance(r, dict) or {"alpha", "tree"} - r.keys()
+                or not isinstance(r["alpha"], (int, float))):
+            raise ValueError(f"round {t} needs a numeric alpha and a tree")
     dataset, _ = load_csv(data_path, label_column, model["label_map"])
     prov = tuple((weaklearners.tree_from_dict(r["tree"]), r["alpha"])
                  for r in model["rounds"])
-    F = ScoringFunction(prov, model["k"])
-    return {"error": training_error(F, dataset),
-            "exp_risk": exp_risk(F, dataset), "m": dataset.m}
+    f = ScoringFunction(prov, model["k"]).score_table(dataset)
+    return {"error": training_error(f, dataset),
+            "exp_risk": exp_risk(f, dataset), "m": dataset.m}
 
 
 def emit_potential_table(k, gamma, T_max, loss, include_minimal=False):

@@ -2,8 +2,8 @@
 
 Convention throughout this module: state vectors s and distributions b are
 indexed with coordinate 1 (array index 0) = the true label. Both losses
-depend on s only through the differences s_l - s_1, and so do all
-potentials; the minimal-condition solver exploits that for memoization.
+depend on s only through s_l - s_1, and so do all potentials: a batch
+evaluates each distinct (b, s - s_1) once, and the minimal solver memoizes.
 """
 
 import itertools
@@ -80,49 +80,58 @@ def kappa(gamma, eta, k):
             - (1.0 - math.exp(-eta)) * gamma)
 
 
+def _rows(b):
+    return np.asarray(b.b if isinstance(b, EorDistribution) else b, float)
+
+
 def potential_exp_closed(b, eta, t, s):
-    # phi^b_t(s) = sum_{l>=2} a_l^t e^{eta (s_l - s_1)}
-    bv = np.asarray(b.b if isinstance(b, EorDistribution) else b, dtype=float)
-    s = np.asarray(s, dtype=float)
-    a = 1.0 - (bv[0] + bv[1:]) + math.exp(eta) * bv[1:] + math.exp(-eta) * bv[0]
-    return float((a ** t * np.exp(eta * (s[1:] - s[0]))).sum())
+    # phi^b_t(s) = sum_{l>=2} a_l^t e^{eta (s_l - s_1)}, states (..., k)
+    bv, s = _rows(b), np.asarray(s, dtype=float)
+    b1, bl = bv[..., :1], bv[..., 1:]
+    a = 1.0 - (b1 + bl) + math.exp(eta) * bl + math.exp(-eta) * b1
+    return (a ** t * np.exp(eta * (s[..., 1:] - s[..., :1]))).sum(axis=-1)
 
 
 def potential_zeroone_dp(b, t, s):
-    """1 - Pr[s_1 + x_1 > s_l + x_l for all l > 1] after a t-step walk.
-
-    Outer loop over the true-coordinate count x_1 = j; inner DP over the
-    remaining coordinates tracks votes used, carrying b_l^n / n! factors
-    so the multinomial coefficient assembles at the end. O(t^3 k).
-    """
-    bv = np.asarray(b.b if isinstance(b, EorDistribution) else b, dtype=float)
-    s = np.asarray(s, dtype=int)
-    k = len(bv)
+    """1 - Pr[s_1 + x_1 > s_l + x_l for all l > 1] after a t-step walk for
+    states s (k,) or (S, k), rows b broadcast: x_1 ~ Bin(t, b_1), then x_l ~
+    Bin(votes left, b_l / (b_l + ... + b_k)) capped at x_1 - (s_l - s_1) - 1.
+    Summing the mass lost past caps keeps an unbeatable lead exactly 0."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    win = 0.0
-    for j in range(t + 1):
-        caps = [s[0] + j - s[l] - 1 for l in range(1, k)]
-        if any(c < 0 for c in caps):
-            continue
-        g = [0.0] * (t - j + 1)
-        g[0] = 1.0
-        for l in range(1, k):
-            ng = [0.0] * (t - j + 1)
-            for used in range(t - j + 1):
-                if g[used] == 0.0:
-                    continue
-                top = min(caps[l - 1], t - j - used)
-                for n in range(top + 1):
-                    ng[used + n] += g[used] * bv[l] ** n / math.factorial(n)
-            g = ng
-        win += math.factorial(t) / math.factorial(j) * bv[0] ** j * g[t - j]
-    return 1.0 - min(win, 1.0)
+    bv, d = np.broadcast_arrays(np.atleast_2d(_rows(b)), np.atleast_2d(s))
+    bv, row = np.unique(bv, axis=0, return_inverse=True)
+    q = np.cumsum(bv[:, ::-1], axis=1)[:, ::-1]
+    p = np.divide(bv, q, out=np.ones_like(bv), where=q > 0)[..., None, None]
+    # pmf[u, l, r, x] = Pr[Bin(r, p[u, l]) = x] for x = n, from log r!
+    n, r = np.arange(t + 1), np.arange(t + 1)[:, None]
+    lf = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = (lf[r] - lf - lf[abs(r - n)] + np.where(n > 0, n * np.log(p), 0)
+               + np.where(r > n, (r - n) * np.log1p(-p), 0))
+    pmf = np.where(n <= r, np.exp(log), 0.0)
+    caps = n - (d[:, 1:] - d[:, :1])[:, :, None] - 1
+    # x_2 = t - j - n of the votes left after x_1 = j: mass by (state, j, n)
+    x = t - r - n
+    move = pmf[row, 0, t, :, None] * np.where(
+        x >= 0, pmf[row[:, None, None], 1, t - r, x], 0.0)
+    keep = x <= caps[:, 0, :, None]
+    mass, lost = np.where(keep, move, 0), np.where(keep, 0, move).sum((1, 2))
+    for l in range(2, d.shape[1] - 1):   # O(t^3); x_k gets the votes left
+        nxt = np.zeros_like(mass)
+        for v, w in zip(n, t + 1 - n):   # x_l = v needs j <= t - v < w
+            move = mass[:, :w, v:] * pmf[row, l, None, v:, v]
+            keep = v <= caps[:, l - 1, :w]
+            nxt[:, :w, :w] += np.where(keep[:, :, None], move, 0.0)
+            lost += np.where(keep, 0.0, move.sum(axis=2)).sum(axis=1)
+        mass = nxt
+    lost += np.where(n > caps[:, -1, :, None], mass, 0.0).sum(axis=(1, 2))
+    return lost.reshape(np.shape(s)[:-1])[()]
 
 
 def potential_oracle_bruteforce(b, loss, t, s):
     """Exact E[L(end state)] by enumerating all k^t walk paths."""
-    bv = np.asarray(b.b if isinstance(b, EorDistribution) else b, dtype=float)
+    bv = _rows(b)
     k = len(bv)
     if t > 8 or k > 5:
         raise ValueError("brute-force oracle capped at t <= 8, k <= 5")
@@ -140,10 +149,17 @@ def potential_oracle_bruteforce(b, loss, t, s):
 
 
 def potential_fixed(b, loss, t, s):
-    """phi^b_t(s) for a fixed edge-over-random baseline row b."""
-    if loss.kind == EXP:
-        return potential_exp_closed(b, loss.eta, t, s)
-    return potential_zeroone_dp(b, t, s)
+    """phi^b_t(s) for baseline rows b broadcast to states s (..., k); each
+    distinct (b, s - s_1) is evaluated once (a potential reads no more)."""
+    b, s = np.broadcast_arrays(_rows(b), np.asarray(s, dtype=int))
+    keys = np.concatenate((b, s - s[..., :1]), -1).reshape(-1, 2 * s.shape[-1])
+    # unique over one void scalar per key row: faster than axis=0
+    void = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    uniq, inverse = np.unique(void.ravel(), return_inverse=True)
+    b, d = np.split(uniq.view(float).reshape(-1, keys.shape[1]), 2, axis=1)
+    phi = (potential_exp_closed(b, loss.eta, t, d) if loss.kind == EXP
+           else potential_zeroone_dp(b, t, d))
+    return phi[inverse].reshape(s.shape[:-1])[()]
 
 
 class MinimalPotential:

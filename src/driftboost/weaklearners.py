@@ -94,6 +94,8 @@ class Split(WeakClassifier):
 
 
 def tree_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"tree node {d!r} is not an object")
     if "leaf" in d:
         return Leaf(d["leaf"])
     if {"feature", "threshold", "numeric", "left", "right"} - set(d):

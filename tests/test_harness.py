@@ -7,7 +7,8 @@ import pytest
 from driftboost import cli
 from driftboost import conditions as cnd
 from driftboost import harness as hz
-from driftboost.core import ScoringFunction, exp_risk, training_error
+from driftboost.core import (ScoringFunction, WeakClassifier, exp_risk,
+                             training_error)
 from driftboost.potentials import EXP, ZERO_ONE, LossSpec
 from driftboost.weaklearners import tree_from_dict
 
@@ -187,6 +188,21 @@ class TestEvalModel:
         assert got["m"] == 11
         # trained on 10 of 11 rows; full-set error is near the train error
         assert got["error"] <= metrics["train_error"] + 1 / 11 + 1e-9
+
+    def test_predicts_each_tree_once(self, tmp_path, monkeypatch):
+        # error and exp_risk each used to rebuild the score table
+        data, model, metrics = trained_window_model(tmp_path)
+        want = hz.eval_model(model, data)
+        calls = []
+        predict_all = WeakClassifier.predict_all
+
+        def counting(self, dataset):
+            calls.append(self)
+            return predict_all(self, dataset)
+
+        monkeypatch.setattr(WeakClassifier, "predict_all", counting)
+        assert hz.eval_model(model, data) == want
+        assert len(calls) == len(set(map(id, calls))) == metrics["rounds_run"]
 
 
 def trained_window_model(tmp_path):
@@ -377,6 +393,15 @@ class TestCli:
         lines = (out / "degree_map.tsv").read_text().splitlines()
         assert "degree" in lines[1]
 
+    def test_potentials_past_factorial_range(self, capsys):
+        # the zero-one DP built float factorials: OverflowError from T = 171
+        assert cli.main(["potentials", "--k", "4", "--rounds", "200",
+                         "--out", "-"]) == 0
+        rows = [line.split("\t")
+                for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [int(T) for T, _ in rows] == list(range(201))
+        assert all(0.0 < float(v) <= 1.0 for _, v in rows)
+
     def test_fixtures_and_equivalence(self, tmp_path):
         assert cli.main(["fixtures", "--out", str(tmp_path / "fx")]) == 0
         assert cli.main(["equivalence-check", "--trials", "3",
@@ -463,12 +488,15 @@ class TestCliRejectsBadInput:
         return err
 
     # gamma outside [0, 1): the OS booster trained on negative
-    # "probabilities", and the potential tables were printed
+    # "probabilities", the AdaBoost.MM runs ignored it, and the potential
+    # tables were printed
     @pytest.mark.parametrize("argv", [
         ["train", "{data}", "--algo", "os", "--gamma", "1.5"],
         ["train", "{data}", "--algo", "os", "--gamma", "-0.5"],
         ["degree-map", "--gamma", "2", "--rounds", "2"],
-        ["potentials", "--gamma", "-0.2", "--minimal", "--rounds", "2"]])
+        ["potentials", "--gamma", "-0.2", "--minimal", "--rounds", "2"],
+        ["train", "{data}", "--algo", "mm-approx", "--gamma", "1.5"],
+        ["train", "{data}", "--algo", "mm-exact", "--gamma", "1.5"]])
     def test_gamma_out_of_range(self, argv, tmp_path, capsys):
         data = tmp_path / "w.csv"
         window_csv(data, 11, 0.1)
@@ -509,7 +537,24 @@ class TestCliRejectsBadInput:
          "classifier 2 predicts a label outside 1..2"),
         ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
             {"alpha": 1.0, "tree": {"leaf": 0}}]},
-         "classifier 1 predicts a label outside 1..2")])
+         "classifier 1 predicts a label outside 1..2"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"feature": 0, "threshold": 0.5,
+                                    "numeric": True, "left": {"leaf": 1},
+                                    "right": 5}}]},
+         "tree node 5 is not an object"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": 5}]}, "tree node 5 is not an object"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}}, {"tree": {"leaf": 2}}]},
+         "round 2 needs a numeric alpha and a tree"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0}]}, "round 1 needs a numeric alpha and a tree"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": "x", "tree": {"leaf": 1}}]},
+         "round 1 needs a numeric alpha and a tree"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": 5},
+         "need a JSON object")])
     def test_malformed_model(self, model, message, tmp_path, capsys):
         # each used to escape as a KeyError, TypeError or IndexError
         path = tmp_path / "m.json"

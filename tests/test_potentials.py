@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from driftboost import potentials as pot
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
                                    MinimalPotential, check_eor_rows,
                                    degree_map, gamma_biased_uniform, kappa,
@@ -135,6 +136,87 @@ class TestFixedPotential:
         got = potential_zeroone_dp(b, 4, (0, 0, 0))
         ref = potential_oracle_bruteforce(b, ZO, 4, (0, 0, 0))
         assert got == pytest.approx(ref, abs=1e-12)
+
+
+def log_space_zeroone(b, t, s):
+    """1 - Pr[win] for k = 3 as a sum over every multinomial outcome, each
+    probability taken from lgamma and logs."""
+    x1, x2 = np.meshgrid(np.arange(t + 1), np.arange(t + 1), indexing="ij")
+    x3 = t - x1 - x2
+    ok = x3 >= 0
+    x1, x2, x3 = x1[ok], x2[ok], x3[ok]
+    lg = np.vectorize(math.lgamma)
+    log = (math.lgamma(t + 1) - lg(x1 + 1.0) - lg(x2 + 1.0) - lg(x3 + 1.0)
+           + x1 * math.log(b[0]) + x2 * math.log(b[1]) + x3 * math.log(b[2]))
+    lost = (s[0] + x1 <= s[1] + x2) | (s[0] + x1 <= s[2] + x3)
+    return float(np.exp(log[lost]).sum())
+
+
+class TestLongWalks:
+    # the zero-one DP built float factorials and raised OverflowError for
+    # every t >= 171
+    @pytest.mark.parametrize("s", [(0, 0, 0), (4, 0, 9), (0, 6, 2)])
+    def test_t300_matches_log_space_sum(self, s):
+        b = gamma_biased_uniform(3, 0.05).b
+        got = potential_zeroone_dp(b, 300, s)
+        assert math.isfinite(got)
+        assert got == pytest.approx(log_space_zeroone(b, 300, s), abs=1e-12)
+
+    def test_k4_t300_is_a_probability(self):
+        got = potential_zeroone_dp(gamma_biased_uniform(4, 0.1), 300,
+                                   (0, 0, 0, 0))
+        assert 0.0 < got < 1.0
+
+
+class TestBatches:
+    """potential_fixed on an (S, k) batch against one call per state."""
+
+    def batch(self, seed, S, k):
+        """States with repeated baseline rows and states that differ only
+        by a shift, so several share a key (b, s - s_1)."""
+        nrng = np.random.default_rng(seed)
+        rows = TestEorCheck().random_rows(nrng, k, 0.1, 3)
+        b = rows[nrng.integers(0, 3, S)]
+        s = nrng.integers(0, 4, (S, k))
+        s[S // 2:] = s[:S - S // 2] + nrng.integers(0, 3, (S - S // 2, 1))
+        b[S // 2:] = b[:S - S // 2]
+        return b, s
+
+    @pytest.mark.parametrize("loss", [ZO, LossSpec(EXP, 0.3)])
+    @pytest.mark.parametrize("k, t", [(2, 5), (3, 7), (4, 6), (5, 4)])
+    def test_equals_per_row_calls_bit_for_bit(self, loss, k, t):
+        b, s = self.batch(k * 10 + t, 24, k)
+        got = potential_fixed(b, loss, t, s)
+        assert got.shape == (24,)
+        assert got.tolist() == [potential_fixed(bi, loss, t, si)
+                                for bi, si in zip(b, s)]
+
+    def test_broadcast_rows_keep_the_state_shape(self):
+        b, s = self.batch(3, 12, 4)
+        states = s.reshape(3, 4, 4)
+        got = potential_fixed(b.reshape(3, 4, 4)[:, :1], ZO, 5, states)
+        want = [[potential_fixed(b[4 * i], ZO, 5, c) for c in states[i]]
+                for i in range(3)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("loss, inner", [
+        (ZO, "potential_zeroone_dp"),
+        (LossSpec(EXP, 0.3), "potential_exp_closed")])
+    def test_each_distinct_key_evaluated_once(self, monkeypatch, loss,
+                                              inner):
+        b, s = self.batch(11, 40, 4)
+        seen = []
+        evaluate = getattr(pot, inner)
+
+        def recording(rows, *args):
+            seen.extend(zip(map(tuple, rows), map(tuple, args[-1])))
+            return evaluate(rows, *args)
+
+        monkeypatch.setattr(pot, inner, recording)
+        potential_fixed(b, loss, 5, s)
+        keys = {(tuple(bi), tuple(si - si[0])) for bi, si in zip(b, s)}
+        assert len(keys) < len(s)
+        assert len(seen) == len(keys) and set(seen) == keys
 
 
 class TestExpClosedForm:

@@ -1,5 +1,6 @@
 """Property tests of ingestion and train -> eval over small random CSVs
-with numeric and categorical columns."""
+with numeric and categorical columns, and of batched potentials against
+path enumeration."""
 
 import json
 import pathlib
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftboost import harness as hz
+from driftboost import potentials as pot
 from driftboost.weaklearners import greedy_tree, tree_from_dict
 
 NUMERIC_CELLS = st.one_of(
@@ -120,3 +122,32 @@ def test_eval_invariant_under_row_permutation(table, rnd, algo):
     assert perm["m"] == fwd["m"] == len(labels)
     assert perm["error"] == fwd["error"]
     assert perm["exp_risk"] == fwd["exp_risk"]
+
+
+@st.composite
+def potential_batches(draw):
+    """(b, s, t): up to 4 states over k <= 4 labels with their own rows b,
+    zero entries allowed, and a walk length t <= 6."""
+    k = draw(st.integers(2, 4))
+    S = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 3, 5]),
+                                     min_size=k, max_size=k)
+                            .filter(lambda w: w[0] > 0),
+                            min_size=S, max_size=S))
+    b = np.array(weights, dtype=float)
+    b /= b.sum(axis=1, keepdims=True)
+    s = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=k,
+                                        max_size=k),
+                               min_size=S, max_size=S)))
+    return b, s, draw(st.integers(0, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(potential_batches(), st.sampled_from([pot.LossSpec(pot.ZERO_ONE),
+                                             pot.LossSpec(pot.EXP, 0.3)]))
+def test_potential_batches_match_path_enumeration(case, loss):
+    b, s, t = case
+    got = pot.potential_fixed(b, loss, t, s)
+    want = [pot.potential_oracle_bruteforce(bi, loss, t, si)
+            for bi, si in zip(b, s)]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)

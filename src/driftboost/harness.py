@@ -193,9 +193,13 @@ def eval_model(model_path, data_path, label_column=None):
         model = json.load(fh)
     if (not isinstance(model, dict)
             or {"k", "label_map", "rounds"} - model.keys()
+            or not isinstance(model["label_map"], dict)
             or not isinstance(model["rounds"], list)):
         raise ValueError(f"{model_path}: need a JSON object with keys k, "
-                         "label_map and rounds (a list)")
+                         "label_map (an object) and rounds (a list)")
+    if model["k"] != len(model["label_map"]):
+        raise ValueError(f"model has k = {model['k']!r}, but its label_map "
+                         f"names {len(model['label_map'])} labels")
     for t, r in enumerate(model["rounds"], start=1):
         if (not isinstance(r, dict) or {"alpha", "tree"} - r.keys()
                 or not isinstance(r["alpha"], (int, float))):

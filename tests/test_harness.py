@@ -554,7 +554,20 @@ class TestCliRejectsBadInput:
             {"alpha": "x", "tree": {"leaf": 1}}]},
          "round 1 needs a numeric alpha and a tree"),
         ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": 5},
-         "need a JSON object")])
+         "need a JSON object"),
+        # a non-integer leaf used to evaluate silently as int(leaf), and
+        # k was never compared with the label names
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1.7}}]},
+         "tree leaf 1.7 is not an integer label"),
+        ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"feature": 0, "threshold": 0.5,
+                                    "numeric": True, "left": {"leaf": 1},
+                                    "right": {"leaf": True}}}]},
+         "tree leaf True is not an integer label"),
+        ({"k": 5, "label_map": {"a": 1, "b": 2}, "rounds": []},
+         "model has k = 5, but its label_map names 2 labels"),
+        ({"k": 2, "label_map": 5, "rounds": []}, "need a JSON object")])
     def test_malformed_model(self, model, message, tmp_path, capsys):
         # each used to escape as a KeyError, TypeError or IndexError
         path = tmp_path / "m.json"

@@ -72,3 +72,29 @@ def test_no_imports_inside_functions():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in function_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def function_classes(tree):
+    """(line, function) of every class statement inside a function."""
+    return sorted({(node.lineno, fn.name)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ClassDef)})
+
+
+def test_function_classes_detected():
+    tree = ast.parse("class A:\n    def f(self):\n        class B:\n"
+                     "            pass\ndef g():\n    def h():\n"
+                     "        class C:\n            pass\n")
+    assert function_classes(tree) == [(3, "f"), (7, "g"), (7, "h")]
+
+
+def test_no_classes_inside_functions():
+    """A class made per call is cyclic garbage: its instances, methods
+    and closures keep whatever they reference alive until the cycle
+    collector runs."""
+    found = [f"{path.name}:{line} in {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in function_classes(ast.parse(path.read_text()))]
+    assert found == []

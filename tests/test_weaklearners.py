@@ -1,12 +1,17 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftboost import conditions as cnd
-from driftboost.core import Dataset, TableClassifier, indexed_dataset
+from driftboost.core import (CostMatrix, Dataset, TableClassifier,
+                             indexed_dataset, is_numeric)
 from driftboost.weaklearners import (BestResponseLearner,
-                                     FullSpaceBestResponse, TreeLearner,
-                                     best_response, greedy_tree, stump,
-                                     tree_from_dict)
+                                     FullSpaceBestResponse, Leaf, Split,
+                                     TreeLearner, best_response, greedy_tree,
+                                     stump, tree_from_dict)
 
 
 def cost_of(h, C, dataset):
@@ -157,3 +162,210 @@ class TestStump:
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = TreeLearner(3, "COST")(d, C)
         assert h.to_dict() == stump(d, C).to_dict()
+
+
+# ------------------------------------------- reference split search
+
+def _leaf_score_cost(members, c):
+    """(best cost, best label) for a leaf under the cost criterion."""
+    totals = c[members].sum(axis=0)
+    label = int(np.argmin(totals)) + 1
+    return float(totals[label - 1]), label
+
+
+def _entropy(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _leaf_score_info(members, y, k):
+    counts = np.bincount(y[members], minlength=k + 1)[1:]
+    label = int(np.argmax(counts)) + 1
+    return _entropy(counts) * len(members), label
+
+
+def reference_greedy_tree(dataset, C, max_size, criterion="COST"):
+    """The full scan that the prefix-sum search replaced, kept verbatim:
+    every candidate builds its mask and both children, and every
+    expansion rescans every leaf."""
+    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    y = dataset.labels
+
+    def leaf_score(members):
+        if criterion == "COST":
+            return _leaf_score_cost(members, c)
+        return _leaf_score_info(members, y, dataset.k)
+
+    class Work:
+        __slots__ = ("members", "score", "label", "split", "left", "right")
+
+        def __init__(self, members):
+            self.members = members
+            self.score, self.label = leaf_score(members)
+            self.split = None
+            self.left = self.right = None
+
+        def leaves(self):
+            if self.split is None:
+                yield self
+            else:
+                yield from self.left.leaves()
+                yield from self.right.leaves()
+
+        def freeze(self):
+            if self.split is None:
+                return Leaf(self.label)
+            j, thr, numeric = self.split
+            return Split(j, thr, numeric,
+                         self.left.freeze(), self.right.freeze())
+
+    root = Work(np.arange(dataset.m))
+    size = 1
+    while size + 2 <= max_size:
+        best = None  # (gain, leaf, split, left Work, right Work)
+        for leaf in root.leaves():
+            for j, column in enumerate(dataset.columns):
+                values = column[leaf.members]
+                distinct = np.unique(values)
+                if len(distinct) < 2:
+                    continue
+                numeric = is_numeric(column)
+                candidates = ((distinct[:-1] + distinct[1:]) / 2.0
+                              if numeric else distinct)
+                for thr in candidates.tolist():
+                    left = values <= thr if numeric else values == thr
+                    n_left = np.count_nonzero(left)
+                    if n_left == 0 or n_left == len(values):
+                        continue
+                    lw = Work(leaf.members[left])
+                    rw = Work(leaf.members[~left])
+                    gain = leaf.score - (lw.score + rw.score)
+                    if gain > 1e-12 and (best is None
+                                         or gain > best[0] + 1e-12):
+                        best = (gain, leaf, (j, thr, numeric), lw, rw)
+        if best is None:
+            break
+        _, leaf, split, lw, rw = best
+        leaf.split, leaf.left, leaf.right = split, lw, rw
+        size += 2
+    return root.freeze()
+
+
+# 0.3 and the next float up: their midpoint rounds to the upper value
+ADJACENT = 0.3
+
+
+def random_problem(rng):
+    """(dataset, cost matrix, size, criterion) with ties, repeated values,
+    categorical columns and adjacent floats."""
+    m, k = int(rng.integers(1, 40)), int(rng.integers(2, 5))
+    makers = (lambda: rng.normal(size=m),
+              lambda: rng.integers(0, 4, m),
+              lambda: np.round(rng.normal(size=m), 1),
+              lambda: np.array(["a", "b", "c"])[rng.integers(0, 3, m)],
+              lambda: np.where(rng.random(m) < 0.5, ADJACENT,
+                               np.nextafter(ADJACENT, np.inf)))
+    columns = tuple(makers[rng.integers(len(makers))]()
+                    for _ in range(rng.integers(0, 4)))
+    C = (rng.integers(-2, 3, (m, k)).astype(float) if rng.random() < 0.5
+         else rng.normal(size=(m, k)))
+    return (Dataset(columns, rng.integers(1, k + 1, m), k), C,
+            int(rng.integers(1, 12)), ("COST", "INFO_GAIN")[rng.integers(2)])
+
+
+@st.composite
+def tree_problems(draw):
+    m, k = draw(st.integers(1, 25)), draw(st.integers(2, 4))
+
+    def column(cells):
+        return draw(st.lists(cells, min_size=m, max_size=m))
+
+    kinds = {
+        "float": lambda: np.array(column(st.floats(-10, 10))),
+        "int": lambda: np.array(column(st.integers(-3, 3))),
+        "str": lambda: np.array(column(st.sampled_from(["a", "b", "c"]))),
+        "adjacent": lambda: np.array(column(st.sampled_from(
+            [ADJACENT, float(np.nextafter(ADJACENT, np.inf))])))}
+    columns = tuple(kinds[kind]() for kind in draw(
+        st.lists(st.sampled_from(sorted(kinds)), max_size=3)))
+    labels = column(st.integers(1, k))
+    cells = (st.integers(-2, 2) if draw(st.booleans())
+             else st.floats(-5, 5, allow_nan=False))
+    C = np.array(draw(st.lists(st.lists(cells, min_size=k, max_size=k),
+                               min_size=m, max_size=m)), dtype=float)
+    return (Dataset(columns, labels, k), C, draw(st.integers(1, 11)),
+            draw(st.sampled_from(["COST", "INFO_GAIN"])))
+
+
+class TestSplitSearchMatchesFullScan:
+    """The prefix-sum search grows the same tree as the full scan."""
+
+    def test_fixed_seed_sweep(self):
+        rng = np.random.default_rng(2016)
+        for _ in range(400):
+            d, C, size, criterion = random_problem(rng)
+            assert (greedy_tree(d, C, size, criterion).to_dict()
+                    == reference_greedy_tree(d, C, size, criterion).to_dict())
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_problems())
+    def test_property(self, problem):
+        d, C, size, criterion = problem
+        assert (greedy_tree(d, C, size, criterion).to_dict()
+                == reference_greedy_tree(d, C, size, criterion).to_dict())
+
+    def test_midpoint_rounding_to_the_upper_value(self):
+        # `values <= thr` puts both adjacent values left, so that column
+        # has no proper split and the tree splits the other column
+        upper = np.nextafter(ADJACENT, np.inf)
+        assert (ADJACENT + upper) / 2 == upper
+        d = Dataset((np.array([ADJACENT, upper] * 3),
+                     np.arange(6.0)), [1, 2, 1, 2, 1, 2], 2)
+        C = np.array([[0.0, 1.0], [1.0, 0.0]] * 3)
+        for criterion in ("COST", "INFO_GAIN"):
+            got = greedy_tree(d, C, 5, criterion).to_dict()
+            assert got == reference_greedy_tree(d, C, 5, criterion).to_dict()
+            assert got["feature"] == 1
+
+    def test_mirrored_column_ties_across_summation_orders(self):
+        # x and -x give each split twice with the sides swapped: equal
+        # exact gains, but their prefix sums run in opposite orders and,
+        # with costs of mixed magnitude, differ far more than 1e-12; the
+        # full scan keeps column 0, so the shortlist must hold both
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=40)
+            d = Dataset((x, -x), rng.integers(1, 4, 40), 3)
+            C = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-3, 9, (40, 3))
+            for size in (3, 7):
+                assert (greedy_tree(d, C, size).to_dict()
+                        == reference_greedy_tree(d, C, size).to_dict())
+
+    def test_cost_matrix_and_more_rows(self):
+        rng = np.random.default_rng(7)
+        d = Dataset((np.round(rng.normal(size=300), 2),
+                     rng.integers(0, 6, 300),
+                     np.array(list("pqrs"))[rng.integers(0, 4, 300)]),
+                    rng.integers(1, 4, 300), 3)
+        C = CostMatrix(rng.normal(size=(300, 3)))
+        for criterion in ("COST", "INFO_GAIN"):
+            assert (greedy_tree(d, C, 9, criterion).to_dict()
+                    == reference_greedy_tree(d, C, 9, criterion).to_dict())
+
+
+def test_greedy_tree_leaves_no_cyclic_garbage():
+    # a class defined per call made every call leave its nodes, the cost
+    # matrix and the dataset in reference cycles
+    rng = np.random.default_rng(5)
+    d = Dataset(tuple(rng.normal(size=(3, 200))), rng.integers(1, 4, 200), 3)
+    C = rng.normal(size=(200, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        greedy_tree(d, C, 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -244,7 +244,7 @@ def adaboost_binary(V, T):
 
 
 def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
-    """AdaBoost.MM (APPROX, best-response learner) against binary
+    """AdaBoost.MM (APPROX, exhaustive best response) against binary
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
     mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")

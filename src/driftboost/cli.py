@@ -34,8 +34,7 @@ def build_parser():
     tr.add_argument("--algo", choices=("mm-approx", "mm-exact", "os"),
                     default="mm-approx")
     tr.add_argument("--rounds", type=int, default=10)
-    tr.add_argument("--learner",
-                    choices=("best-response", "stump", "greedy", "greedy-info"),
+    tr.add_argument("--learner", choices=("greedy", "stump"),
                     default="greedy")
     tr.add_argument("--tree-size", type=int, default=5)
     _add_common(tr)

@@ -94,14 +94,6 @@ def make_condition(name, gamma, dataset, baseline=None):
     raise ValueError(f"unknown condition {name}")
 
 
-def edge(C, h, B, dataset):
-    """C.B - C.1_h; nonnegative iff h meets the constraint for this C."""
-    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-    b = B.entries if isinstance(B, Baseline) else np.asarray(B, dtype=float)
-    preds = h.predict_all(dataset)
-    return float((c * b).sum() - c[np.arange(dataset.m), preds - 1].sum())
-
-
 # ---------------------------------------------------------------- the game
 
 @dataclass(frozen=True)

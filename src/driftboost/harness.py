@@ -93,14 +93,10 @@ def split_dataset(dataset, ratio, seed):
 
 
 def _make_learner(name, tree_size):
-    if name in ("stump", "best-response"):
-        # best-response over the space of all cost-optimal stumps is the
-        # exhaustive stump search itself
-        return weaklearners.TreeLearner(3, "COST")
+    if name == "stump":
+        return weaklearners.TreeLearner(3)
     if name == "greedy":
-        return weaklearners.TreeLearner(tree_size, "COST")
-    if name == "greedy-info":
-        return weaklearners.TreeLearner(tree_size, "INFO_GAIN")
+        return weaklearners.TreeLearner(tree_size)
     raise ValueError(f"unknown learner {name}")
 
 
@@ -168,8 +164,7 @@ def run_experiment(cfg):
              "algo": algo,
              "rounds": [{"alpha": r.alpha,
                          "tree": r.classifier.to_dict()}
-                        for r in run.rounds
-                        if hasattr(r.classifier, "to_dict")]}
+                        for r in run.rounds]}
     with open(os.path.join(outdir, "model.json"), "w") as fh:
         json.dump(model, fh, sort_keys=True, indent=1)
         fh.write("\n")

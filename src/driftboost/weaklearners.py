@@ -1,6 +1,6 @@
-"""Weak learners the boosters query: exhaustive best response over a
-finite space, greedy size-capped trees (cost or information-gain
-splitting), and stumps."""
+"""Weak learners the boosters query. Each answers the booster's cost
+matrix: exhaustive best response over a finite space, and greedy
+size-capped trees and stumps that minimize summed cost."""
 
 import numpy as np
 
@@ -108,49 +108,20 @@ def tree_from_dict(d):
                  tree_from_dict(d["left"]), tree_from_dict(d["right"]))
 
 
-def _entropy(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _leaf_score(rows, criterion):
-    """(score, label) of a leaf whose members' stat rows are `rows`:
-    COST rows are cost rows and the leaf takes the label of least summed
-    cost; INFO_GAIN rows are one-hot labels and the score is the leaf's
-    entropy times its size."""
-    totals = rows.sum(axis=0)
-    if criterion == "COST":
-        label = int(np.argmin(totals)) + 1
-        return float(totals[label - 1]), label
-    label = int(np.argmax(totals)) + 1
-    return _entropy(totals) * len(rows), label
-
-
-def _child_scores(sums, criterion):
-    """Approximate leaf scores of many children at once, one per row of
-    their summed stat rows (every child nonempty)."""
-    if criterion == "COST":
-        return sums.min(axis=1)
-    n = sums.sum(axis=1)
-    p = sums / n[:, None]
-    logp = np.log2(p, out=np.zeros_like(p), where=sums > 0)
-    return -(p * logp).sum(axis=1) * n
-
-
 class _Node:
     """A node of a growing tree: its members as an ascending index
-    array, its leaf score and label, and once split, the split and the
-    two children. A leaf caches its candidates' approximate gains."""
+    array, its leaf label (least summed cost) and score (that sum), and
+    once split, the split and the two children. A leaf caches its
+    candidates' approximate gains."""
 
     __slots__ = ("members", "score", "label", "split", "left", "right",
                  "candidates")
 
-    def __init__(self, members, stats, criterion):
+    def __init__(self, members, c):
         self.members = members
-        self.score, self.label = _leaf_score(stats[members], criterion)
+        totals = c[members].sum(axis=0)
+        self.label = int(np.argmin(totals)) + 1
+        self.score = float(totals[self.label - 1])
         self.split = self.left = self.right = self.candidates = None
 
     def leaves(self):
@@ -167,14 +138,14 @@ class _Node:
         return Split(j, thr, numeric, self.left.freeze(), self.right.freeze())
 
 
-def _split_gains(node, dataset, stats, criterion):
+def _split_gains(node, dataset, c):
     """[(column, numeric, thresholds, approximate gains)] of a leaf's
-    candidate splits, in (column, candidate) order. Child stat sums come
+    candidate splits, in (column, candidate) order. Child cost sums come
     from prefix sums over the leaf sorted by the column (numeric) or
     from per-category sums (categorical). A numeric left count comes
     from searchsorted, which reproduces `values <= thr` exactly even
     where a midpoint rounds up to the next value."""
-    rows = stats[node.members]
+    rows = c[node.members]
     n = len(rows)
     total = rows.sum(axis=0)
     out = []
@@ -195,16 +166,16 @@ def _split_gains(node, dataset, stats, criterion):
             left = np.zeros((len(thresholds), rows.shape[1]), rows.dtype)
             np.add.at(left, inverse, rows)
             left = left[keep]
-        gains = node.score - (_child_scores(left, criterion)
-                              + _child_scores(total - left, criterion))
+        gains = node.score - (left.min(axis=1) + (total - left).min(axis=1))
         out.append((j, numeric, thresholds[keep], gains))
     return out
 
 
-def greedy_tree(dataset, C, max_size, criterion="COST"):
+def greedy_tree(dataset, C, max_size):
     """Grow a binary tree greedily until max_size nodes or no improving
-    split; COST leaves minimize summed cost, INFO_GAIN leaves take the
-    majority label and splits maximize entropy reduction.
+    split. Each leaf takes the label of least summed cost under C, and a
+    split's gain is the drop in summed leaf cost, so the tree answers
+    the cost matrix it is given.
 
     Each node holds its members as an ascending index array. A leaf's
     candidates are, per column, the midpoints between its sorted distinct
@@ -222,34 +193,25 @@ def greedy_tree(dataset, C, max_size, criterion="COST"):
     members' own sums, and the rule above is replayed on them in order.
     Every candidate left out is more than 1e-12 below every one kept, so
     it could never win, and the tree equals that of a full scan."""
-    if criterion not in ("COST", "INFO_GAIN"):
-        raise ValueError("criterion must be COST or INFO_GAIN")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-    stats = (c if criterion == "COST"
-             else np.eye(dataset.k, dtype=int)[dataset.labels - 1])
-    root = _Node(np.arange(dataset.m), stats, criterion)
+    root = _Node(np.arange(dataset.m), c)
     # Error bound (u = 2^-53, n <= m rows, S = sum|c|): every sum of cost
     # rows, prefix, per-category or a child's own, is off by at most n u S
     # from the real sum. The approximate gain uses the left sum twice
     # (right = total - left) and the total once, the exact gain the sums
     # of its two children, and the roundings between add at most 7 u S,
-    # so the two gains differ by at most (4n + 7) u S. INFO_GAIN counts
-    # are exact; with log2 within 4 ulp, a child's entropy score is off
-    # by at most (k + 5) u times that score, and scores shrink down the
-    # tree, so the gains differ by at most 2 (k + 7) u times the root's
-    # score. eps is about twice the larger bound.
-    scale = float(np.abs(c).sum()) if criterion == "COST" else root.score
-    eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * scale
+    # so the two gains differ by at most (4n + 7) u S. eps is about twice
+    # that bound.
+    eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * float(np.abs(c).sum())
     size = 1
     while size + 2 <= max_size:
         chunks = []  # (leaf, column, numeric, thresholds), in replay order
         gains = []
         for leaf in root.leaves():
             if leaf.candidates is None:
-                leaf.candidates = _split_gains(leaf, dataset, stats,
-                                               criterion)
+                leaf.candidates = _split_gains(leaf, dataset, c)
             for j, numeric, thresholds, g in leaf.candidates:
                 chunks.append((leaf, j, numeric, thresholds))
                 gains.append(g)
@@ -271,8 +233,8 @@ def greedy_tree(dataset, C, max_size, criterion="COST"):
             thr = thresholds[i - (ends[q - 1] if q else 0)].item()
             values = dataset.columns[j][leaf.members]
             left = values <= thr if numeric else values == thr
-            lw = _Node(leaf.members[left], stats, criterion)
-            rw = _Node(leaf.members[~left], stats, criterion)
+            lw = _Node(leaf.members[left], c)
+            rw = _Node(leaf.members[~left], c)
             gain = leaf.score - (lw.score + rw.score)
             if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
                 best = (gain, leaf, (j, thr, numeric), lw, rw)
@@ -286,17 +248,16 @@ def greedy_tree(dataset, C, max_size, criterion="COST"):
 
 
 def stump(dataset, C):
-    """One split, two leaves: greedy_tree with max_size = 3 and COST."""
-    return greedy_tree(dataset, C, 3, "COST")
+    """The cost-minimizing stump: greedy_tree with max_size = 3."""
+    return greedy_tree(dataset, C, 3)
 
 
 class TreeLearner:
     """Learner wrapper for the boosters: grows a fresh capped tree per
     round from the current cost matrix."""
 
-    def __init__(self, max_size, criterion="COST"):
+    def __init__(self, max_size):
         self.max_size = max_size
-        self.criterion = criterion
 
     def __call__(self, dataset, C):
-        return greedy_tree(dataset, C, self.max_size, self.criterion)
+        return greedy_tree(dataset, C, self.max_size)

@@ -181,8 +181,9 @@ def test_criterion_07_samme_dichotomy():
     assert boost.verdict == "no"
     C = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
     B = cnd.uniform_baseline(d, 0.1)
-    for h in space:
-        assert cnd.edge(C, h, B, d) < 0
+    for h in space:  # C.B - C.1_h < 0: every h violates the constraint
+        preds = h.predict_all(d)
+        assert (C * B.entries).sum() - C[np.arange(d.m), preds - 1].sum() < 0
     report(7)
 
 

@@ -79,15 +79,20 @@ class TestAdaBoostMM:
                     assert r.Z_after <= bound + 1e-9
 
     def test_cumulative_error_bound(self):
+        # Z_t never grows, so every weight exp(f_il - f_iy) stays below
+        # Z_0 = m(k - 1): the margins stay far from the exponent clamp
         d, space, _ = cnd.window_fixture(21, 0.2)
-        run = bst.adaboost_mm(d, 100, BestResponseLearner(space), "APPROX")
-        f = np.zeros((d.m, d.k))
-        prod = 1.0
-        for r in run.rounds:
-            if r.edge >= 0:
-                prod *= math.sqrt(1 - min(r.edge, 1.0) ** 2)
-            f[np.arange(d.m), r.classifier.predict_all(d) - 1] += r.alpha
-            assert training_error(f, d) <= (d.k - 1) * prod + 1e-9
+        for rule in ("APPROX", "EXACT"):
+            run = bst.adaboost_mm(d, 100, BestResponseLearner(space), rule)
+            f = np.zeros((d.m, d.k))
+            prod = 1.0
+            for r in run.rounds:
+                if r.edge >= 0:
+                    prod *= math.sqrt(1 - min(r.edge, 1.0) ** 2)
+                f[np.arange(d.m), r.classifier.predict_all(d) - 1] += r.alpha
+                assert training_error(f, d) <= (d.k - 1) * prod + 1e-9
+                margins = f - f[np.arange(d.m), d.labels - 1][:, None]
+                assert margins.max() <= math.log(d.m * (d.k - 1)) + 1e-9
 
     def test_monotone_exp_risk(self):
         d, space, _ = cnd.window_fixture(11, 0.1)

@@ -1,14 +1,17 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftboost import cli
 from driftboost import conditions as cnd
 from driftboost import harness as hz
-from driftboost.core import (ScoringFunction, WeakClassifier, exp_risk,
-                             training_error)
+from driftboost.core import (Dataset, ScoringFunction, WeakClassifier,
+                             exp_risk, training_error)
 from driftboost.potentials import EXP, ZERO_ONE, LossSpec
 from driftboost.weaklearners import tree_from_dict
 
@@ -37,6 +40,23 @@ def readme_invocations():
     block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("driftboost ")]
+
+
+def readme_names(heading):
+    """The code-quoted names, options aside, in the README's sentence
+    that starts with `heading:`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(rf"{heading}: (.*?)\.(\s|$)", text, re.S).group(1)
+    return sorted(name for name in re.findall(r"`([^`]+)`", sentence)
+                  if not name.startswith("-"))
+
+
+def train_choices(dest):
+    """The choices of a `train` option in the CLI parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["train"]._actions
+                if a.dest == dest)
 
 
 def rows(d):
@@ -175,6 +195,13 @@ class TestRunExperiment:
                                      "rounds": 5, "algo": "os",
                                      "gamma": 0.0, "split": 0.9})
         assert 0.0 <= metrics["train_error"] <= 1.0
+
+    def test_unknown_learner(self, tmp_path):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        with pytest.raises(ValueError, match="^unknown learner greedy-info$"):
+            hz.run_experiment({"data": str(data), "out": str(tmp_path / "o"),
+                               "learner": "greedy-info"})
 
 
 class TestEvalModel:
@@ -416,6 +443,28 @@ class TestCli:
             "equivalence-check", "fixtures"]
         for argv in calls:
             assert cli.main(argv) == 0, argv
+        assert readme_names("Learners") == sorted(train_choices("learner"))
+        assert readme_names("Algorithms") == sorted(train_choices("algo"))
+
+    @pytest.mark.parametrize("learner", train_choices("learner"))
+    def test_learner_answers_the_cost_matrix(self, learner):
+        # C1 makes label 1 free on every row and C2 label 2, whatever the
+        # true labels say; a learner that reads C follows it
+        d = Dataset((np.arange(4.0),), [1, 1, 2, 2], 2)
+        C1 = np.array([[0.0, 1.0]] * 4)
+        h = hz._make_learner(learner, 5)
+        assert h(d, C1).predict_all(d).tolist() == [1, 1, 1, 1]
+        assert h(d, C1[:, ::-1]).predict_all(d).tolist() == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("learner", ["greedy-info", "best-response"])
+    def test_removed_learner_names_are_rejected(self, learner, tmp_path,
+                                                capsys):
+        window_csv(tmp_path / "w.csv", 11, 0.1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", str(tmp_path / "w.csv"), "--learner", learner,
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{learner}'" in capsys.readouterr().err
 
     # options these subcommands never read: argparse rejects them
     @pytest.mark.parametrize("argv", [

@@ -88,15 +88,15 @@ def test_load_csv_matches_per_cell_parse(table):
 
 @settings(max_examples=60, deadline=None)
 @given(csv_tables(), st.sampled_from([1, 3, 5, 9]),
-       st.sampled_from(["COST", "INFO_GAIN"]), st.integers(0, 2**32 - 1))
-def test_tree_predictions_match_row_walk(table, size, criterion, seed):
+       st.integers(0, 2**32 - 1))
+def test_tree_predictions_match_row_walk(table, size, seed):
     columns, labels = table
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "d.csv"
         write_table(path, columns, labels)
         d, _ = hz.load_csv(path)
     C = np.random.default_rng(seed).normal(size=(d.m, d.k))
-    tree = greedy_tree(d, C, size, criterion)
+    tree = greedy_tree(d, C, size)
     rows = list(zip(*(parse_cells(cells) for cells in columns)))
     want = [walk(tree.to_dict(), row) for row in rows]
     assert tree.predict_all(d).tolist() == want

@@ -116,20 +116,11 @@ class TestGreedyTree:
         assert cost_of(h, C, d) == 0.0
         assert h.predict_all(d).tolist() == [1, 1, 2, 2]
 
-    def test_info_gain_majority_leaves(self):
-        d = numeric_dataset([0, 1, 2, 10, 11], [1, 1, 2, 3, 3], 3)
-        h = greedy_tree(d, np.zeros((5, 3)), 5, "INFO_GAIN")
-        preds = h.predict_all(d).tolist()
-        assert preds[3:] == [3, 3]
-        assert preds[0] == 1 and preds[1] == 1
-
     def test_bad_arguments(self):
         d = numeric_dataset([0, 1], [1, 2], 2)
         C = np.zeros((2, 2))
         with pytest.raises(ValueError):
             greedy_tree(d, C, 0)
-        with pytest.raises(ValueError):
-            greedy_tree(d, C, 3, "GINI")
 
     def test_roundtrip_through_dict(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
@@ -160,7 +151,7 @@ class TestStump:
     def test_tree_learner_wrapper(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        h = TreeLearner(3, "COST")(d, C)
+        h = TreeLearner(3)(d, C)
         assert h.to_dict() == stump(d, C).to_dict()
 
 
@@ -173,38 +164,18 @@ def _leaf_score_cost(members, c):
     return float(totals[label - 1]), label
 
 
-def _entropy(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _leaf_score_info(members, y, k):
-    counts = np.bincount(y[members], minlength=k + 1)[1:]
-    label = int(np.argmax(counts)) + 1
-    return _entropy(counts) * len(members), label
-
-
-def reference_greedy_tree(dataset, C, max_size, criterion="COST"):
+def reference_greedy_tree(dataset, C, max_size):
     """The full scan that the prefix-sum search replaced, kept verbatim:
     every candidate builds its mask and both children, and every
     expansion rescans every leaf."""
     c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-    y = dataset.labels
-
-    def leaf_score(members):
-        if criterion == "COST":
-            return _leaf_score_cost(members, c)
-        return _leaf_score_info(members, y, dataset.k)
 
     class Work:
         __slots__ = ("members", "score", "label", "split", "left", "right")
 
         def __init__(self, members):
             self.members = members
-            self.score, self.label = leaf_score(members)
+            self.score, self.label = _leaf_score_cost(members, c)
             self.split = None
             self.left = self.right = None
 
@@ -259,7 +230,7 @@ ADJACENT = 0.3
 
 
 def random_problem(rng):
-    """(dataset, cost matrix, size, criterion) with ties, repeated values,
+    """(dataset, cost matrix, size) with ties, repeated values,
     categorical columns and adjacent floats."""
     m, k = int(rng.integers(1, 40)), int(rng.integers(2, 5))
     makers = (lambda: rng.normal(size=m),
@@ -273,7 +244,7 @@ def random_problem(rng):
     C = (rng.integers(-2, 3, (m, k)).astype(float) if rng.random() < 0.5
          else rng.normal(size=(m, k)))
     return (Dataset(columns, rng.integers(1, k + 1, m), k), C,
-            int(rng.integers(1, 12)), ("COST", "INFO_GAIN")[rng.integers(2)])
+            int(rng.integers(1, 12)))
 
 
 @st.composite
@@ -296,8 +267,7 @@ def tree_problems(draw):
              else st.floats(-5, 5, allow_nan=False))
     C = np.array(draw(st.lists(st.lists(cells, min_size=k, max_size=k),
                                min_size=m, max_size=m)), dtype=float)
-    return (Dataset(columns, labels, k), C, draw(st.integers(1, 11)),
-            draw(st.sampled_from(["COST", "INFO_GAIN"])))
+    return Dataset(columns, labels, k), C, draw(st.integers(1, 11))
 
 
 class TestSplitSearchMatchesFullScan:
@@ -306,16 +276,16 @@ class TestSplitSearchMatchesFullScan:
     def test_fixed_seed_sweep(self):
         rng = np.random.default_rng(2016)
         for _ in range(400):
-            d, C, size, criterion = random_problem(rng)
-            assert (greedy_tree(d, C, size, criterion).to_dict()
-                    == reference_greedy_tree(d, C, size, criterion).to_dict())
+            d, C, size = random_problem(rng)
+            assert (greedy_tree(d, C, size).to_dict()
+                    == reference_greedy_tree(d, C, size).to_dict())
 
     @settings(max_examples=150, deadline=None)
     @given(tree_problems())
     def test_property(self, problem):
-        d, C, size, criterion = problem
-        assert (greedy_tree(d, C, size, criterion).to_dict()
-                == reference_greedy_tree(d, C, size, criterion).to_dict())
+        d, C, size = problem
+        assert (greedy_tree(d, C, size).to_dict()
+                == reference_greedy_tree(d, C, size).to_dict())
 
     def test_midpoint_rounding_to_the_upper_value(self):
         # `values <= thr` puts both adjacent values left, so that column
@@ -325,10 +295,9 @@ class TestSplitSearchMatchesFullScan:
         d = Dataset((np.array([ADJACENT, upper] * 3),
                      np.arange(6.0)), [1, 2, 1, 2, 1, 2], 2)
         C = np.array([[0.0, 1.0], [1.0, 0.0]] * 3)
-        for criterion in ("COST", "INFO_GAIN"):
-            got = greedy_tree(d, C, 5, criterion).to_dict()
-            assert got == reference_greedy_tree(d, C, 5, criterion).to_dict()
-            assert got["feature"] == 1
+        got = greedy_tree(d, C, 5).to_dict()
+        assert got == reference_greedy_tree(d, C, 5).to_dict()
+        assert got["feature"] == 1
 
     def test_mirrored_column_ties_across_summation_orders(self):
         # x and -x give each split twice with the sides swapped: equal
@@ -351,9 +320,8 @@ class TestSplitSearchMatchesFullScan:
                      np.array(list("pqrs"))[rng.integers(0, 4, 300)]),
                     rng.integers(1, 4, 300), 3)
         C = CostMatrix(rng.normal(size=(300, 3)))
-        for criterion in ("COST", "INFO_GAIN"):
-            assert (greedy_tree(d, C, 9, criterion).to_dict()
-                    == reference_greedy_tree(d, C, 9, criterion).to_dict())
+        assert (greedy_tree(d, C, 9).to_dict()
+                == reference_greedy_tree(d, C, 9).to_dict())
 
 
 def test_greedy_tree_leaves_no_cyclic_garbage():

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Baseline, CostMatrix, ScoringFunction, prediction_matrix,
-                   training_error, true_label_first, wrong_labels)
+from .core import (Baseline, prediction_matrix, training_error,
+                   true_label_first, wrong_labels)
 from .potentials import EXP, potential_fixed
 from .weaklearners import BestResponseLearner
 
@@ -32,15 +32,15 @@ class BoostRound:
     Z_after: float
     A_plus: float = 0.0
     A_minus: float = 0.0
+    preds: np.ndarray = None  # MM and OS: the classifier's training labels
     extra: dict = field(default_factory=dict)
 
 
 @dataclass
 class BoostRun:
     rounds: list
-    scoring: ScoringFunction
+    f: np.ndarray  # final training scores; binary AdaBoost: F~ per triple
     separated: bool = False
-    negative_edge_rounds: int = 0
     extra: dict = field(default_factory=dict)
 
 
@@ -55,7 +55,7 @@ def _mm_weight_matrix(f, y):
 
 def edge_minimal(C, h_preds, f, labels):
     """delta = (-C.1_h) / Z for the adaptive cost matrix at state f."""
-    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    c = np.asarray(C, dtype=float)
     y = np.asarray(labels, dtype=int) - 1
     z = _mm_weight_matrix(np.asarray(f, dtype=float), y).sum()
     if z <= 0.0:
@@ -101,9 +101,8 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
     m, k = dataset.m, dataset.k
     y = dataset.labels - 1
     f = np.zeros((m, k))
-    rounds, prov = [], []
+    rounds = []
     separated = False
-    negative = 0
     for t in range(1, T + 1):
         e = _mm_weight_matrix(f, y)
         Z = float(e.sum())
@@ -112,7 +111,7 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
             break
         C = e.copy()
         C[np.arange(m), y] = -e.sum(axis=1)
-        h = learner(dataset, CostMatrix(C, "EOR"))
+        h = learner(dataset, C)
         preds = h.predict_all(dataset)
         cost = float(C[np.arange(m), preds - 1].sum())
         delta = -cost / Z
@@ -124,20 +123,16 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
         if step_rule == "EXACT":
             ratio = A_plus / A_minus if A_minus > 0.0 else math.inf
         alpha, clamped = _step(delta, ratio)
-        if delta <= 0.0:
-            negative += 1
         f[np.arange(m), preds - 1] += alpha
         # exact identity: Z_t = Z - (1-e^-a) A_plus + (e^a - 1) A_minus
         Z_after = Z - (1.0 - math.exp(-alpha)) * A_plus \
             + (math.exp(alpha) - 1.0) * A_minus
-        prov.append((h, alpha))
         rounds.append(BoostRound(t, h, delta, alpha, Z, Z_after, A_plus,
-                                 A_minus))
+                                 A_minus, preds))
         if clamped:
             separated = True
             break
-    return BoostRun(rounds, ScoringFunction(tuple(prov), k),
-                    separated=separated, negative_edge_rounds=negative)
+    return BoostRun(rounds, f, separated=separated)
 
 
 # ------------------------------------------------------------ OS strategy
@@ -157,14 +152,14 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     b = baseline.entries[rows, order]
     alpha = loss.eta if loss.kind == EXP else 1.0
     s = np.zeros((m, k), dtype=int)
-    rounds, prov = [], []
+    rounds = []
     initial = sum(potential_fixed(b, loss, T, s).tolist()) / m
     all_satisfied = True
     for t in range(T):
         children = s[rows, order][:, None, :] + np.eye(k, dtype=int)
         C = np.empty((m, k))
         C[rows, order] = potential_fixed(b[:, None], loss, T - t - 1, children)
-        h = learner(dataset, CostMatrix(C, "UNCONSTRAINED"))
+        h = learner(dataset, C)
         preds = h.predict_all(dataset)
         chosen = C[rows[:, 0], preds - 1]
         e = float((C * baseline.entries).sum()) - float(chosen.sum())
@@ -173,15 +168,14 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         s[rows[:, 0], preds - 1] += 1
         # s_{t+1}(i) = s_t(i) + e_{h(x_i)}: the chosen entries of C_t
         avg = sum(chosen.tolist()) / m
-        prov.append((h, alpha))
-        rounds.append(BoostRound(t + 1, h, e, alpha, 0.0, 0.0,
+        rounds.append(BoostRound(t + 1, h, e, alpha, 0.0, 0.0, preds=preds,
                                  extra={"avg_potential": avg}))
-    scoring = ScoringFunction(tuple(prov), k)
-    run = BoostRun(rounds, scoring,
+    # alpha * s ranks each row's labels as the summed table does
+    run = BoostRun(rounds, alpha * s,
                    extra={"initial_potential": initial,
                           "condition_satisfied": all_satisfied})
     if all_satisfied:
-        err = training_error(scoring, dataset)
+        err = training_error(run.f, dataset)
         if err > initial + 1e-9:
             raise RuntimeError(
                 f"training error {err} above initial potential {initial}")
@@ -190,23 +184,18 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
 
 # ---------------------------------------------------- mislabel transform
 
-def _mislabel(dataset, P):
-    """transform_mislabel over the prediction matrix P of the space."""
-    m, k = dataset.m, dataset.k
-    i = np.repeat(np.arange(m), k - 1)
-    y = np.repeat(dataset.labels, k - 1)
-    l = wrong_labels(dataset.labels, k).ravel()
-    p = P[:, i]
-    return (i, y, l), (p == l).astype(float) - (p == y)
-
-
 def transform_mislabel(dataset, Hspace):
     """((i, y, l), V): the m(k-1) all-negative binary examples as three
     int arrays, one triple (example, its label y_i, wrong label l) per
     wrong label, ordered by example, then by l; and the transformed space
     as one (n, m(k-1)) float matrix V[j, q] = 1[h_j(x_i) = l] -
     1[h_j(x_i) = y] for triple q, in {-1, 0, +1}."""
-    return _mislabel(dataset, prediction_matrix(Hspace, dataset))
+    m, k = dataset.m, dataset.k
+    i = np.repeat(np.arange(m), k - 1)
+    y = np.repeat(dataset.labels, k - 1)
+    l = wrong_labels(dataset.labels, k).ravel()
+    p = prediction_matrix(Hspace, dataset)[:, i]
+    return (i, y, l), (p == l).astype(float) - (p == y)
 
 
 def adaboost_binary(V, T):
@@ -216,7 +205,6 @@ def adaboost_binary(V, T):
     Ft = np.zeros(V.shape[1])
     rounds = []
     separated = False
-    negative = 0
     for t in range(1, T + 1):
         w = np.exp(np.minimum(Ft, 700.0))  # labels are all -1
         Z = float(w.sum())
@@ -230,8 +218,6 @@ def adaboost_binary(V, T):
         j = int(np.argmax(edges >= edges.max() - 2e-12))
         delta = float(edges[j])
         alpha, clamped = _step(delta)
-        if delta <= 0.0:
-            negative += 1
         Ft = Ft + alpha * V[j]
         rounds.append(BoostRound(t, j, delta, alpha, Z,
                                  float(np.exp(np.minimum(Ft, 700.0)).sum()),
@@ -239,8 +225,7 @@ def adaboost_binary(V, T):
         if clamped:
             separated = True
             break
-    return BoostRun(rounds, None, separated=separated,
-                    negative_edge_rounds=negative, extra={"F_tilde": Ft})
+    return BoostRun(rounds, Ft, separated=separated)
 
 
 def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
@@ -248,8 +233,7 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
     mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")
-    P = prediction_matrix(Hspace, dataset)
-    (ti, ty, tl), V = _mislabel(dataset, P)
+    (ti, ty, tl), V = transform_mislabel(dataset, Hspace)
     bin_run = adaboost_binary(V, T)
 
     y = dataset.labels - 1
@@ -267,8 +251,8 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
         mm_w /= mm_w.sum()
         if np.max(np.abs(mm_w - rb.extra["dist"])) > tol:
             return False, f"round {ra.t}: per-triple weights differ"
-        f[np.arange(dataset.m), P[rb.classifier] - 1] += ra.alpha
-    ft = bin_run.extra["F_tilde"]
+        f[np.arange(dataset.m), ra.preds - 1] += ra.alpha
+    ft = bin_run.f
     mm_ft = f[ti, tl - 1] - f[ti, ty - 1]
     if np.max(np.abs(ft - mm_ft)) > max(tol, 1e-8):
         return False, "final transformed scores differ"

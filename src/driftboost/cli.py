@@ -36,7 +36,8 @@ def build_parser():
     tr.add_argument("--rounds", type=int, default=10)
     tr.add_argument("--learner", choices=("greedy", "stump"),
                     default="greedy")
-    tr.add_argument("--tree-size", type=int, default=5)
+    tr.add_argument("--tree-size", type=int, default=None,
+                    help="greedy tree node cap (default 5)")
     _add_common(tr)
     tr.add_argument("--seed", type=int, default=0)
 
@@ -76,8 +77,11 @@ def main(argv=None):
                    "split": args.split, "algo": args.algo,
                    "rounds": args.rounds, "gamma": args.gamma,
                    "eta": args.eta, "loss": args.loss,
-                   "learner": args.learner, "tree_size": args.tree_size,
-                   "seed": args.seed, "out": out}
+                   "learner": args.learner, "seed": args.seed, "out": out}
+            if args.learner == "greedy" and args.tree_size is None:
+                args.tree_size = 5
+            if args.tree_size is not None:
+                cfg["tree_size"] = args.tree_size
             metrics = harness.run_experiment(cfg)
             for key in sorted(metrics):
                 print(f"{key}\t{metrics[key]}")

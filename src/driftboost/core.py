@@ -106,13 +106,9 @@ def prediction_matrix(Hspace, dataset):
 
 @dataclass(frozen=True)
 class ScoringFunction:
-    """F(x,l) = sum_t alpha_t 1[h_t(x)=l], carried as provenance pairs."""
+    """F(x,l) = sum_t alpha_t 1[h_t(x)=l] of a saved model, carried as
+    (classifier, alpha) pairs; score_table scores new rows."""
     provenance: tuple  # ((WeakClassifier, alpha), ...)
-    k: int
-
-    @staticmethod
-    def zero(k):
-        return ScoringFunction((), k)
 
     def score_table(self, dataset):
         f = np.zeros((dataset.m, dataset.k))
@@ -125,18 +121,15 @@ class ScoringFunction:
         return f
 
 
-def plurality_predict(F, dataset):
-    """argmax_l F(x_i,l) per example; ties go to the lowest label."""
-    return np.argmax(_score_table(F, dataset), axis=1) + 1
+def plurality_predict(f):
+    """argmax_l f(i,l) per row of a score table; ties go to the lowest
+    label."""
+    return np.argmax(f, axis=1) + 1
 
 
-def _score_table(F, dataset):
-    return F if isinstance(F, np.ndarray) else F.score_table(dataset)
-
-
-def training_error(F, dataset):
-    """Fraction of examples with F(x,y) <= max wrong score (ties count)."""
-    f = _score_table(F, dataset)
+def training_error(f, dataset):
+    """Fraction of examples with f(i,y_i) <= max wrong score (ties count),
+    for the (m, k) score table f."""
     y = dataset.labels - 1
     own = f[np.arange(dataset.m), y]
     masked = f.copy()
@@ -144,10 +137,10 @@ def training_error(F, dataset):
     return float(np.mean(own <= masked.max(axis=1)))
 
 
-def exp_risk(F, dataset):
-    """(1/m) sum_i sum_{l != y_i} exp(F(x_i,l) - F(x_i,y_i)); the row terms
-    are added in ascending order, so the row order does not matter."""
-    f = _score_table(F, dataset)
+def exp_risk(f, dataset):
+    """(1/m) sum_i sum_{l != y_i} exp(f(i,l) - f(i,y_i)) for the (m, k)
+    score table f; the row terms are added in ascending order, so the row
+    order does not matter."""
     y = dataset.labels - 1
     d = f - f[np.arange(dataset.m), y][:, None]
     d[np.arange(dataset.m), y] = -np.inf

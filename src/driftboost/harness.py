@@ -92,11 +92,15 @@ def split_dataset(dataset, ratio, seed):
     return dataset.subset(idx[:cut]), dataset.subset(idx[cut:])
 
 
-def _make_learner(name, tree_size):
+def _make_learner(cfg):
+    name = cfg.get("learner", "greedy")
     if name == "stump":
+        if "tree_size" in cfg:
+            raise ValueError("tree_size applies to the greedy learner only; "
+                             "a stump has 3 nodes")
         return weaklearners.TreeLearner(3)
     if name == "greedy":
-        return weaklearners.TreeLearner(tree_size)
+        return weaklearners.TreeLearner(cfg.get("tree_size", 5))
     raise ValueError(f"unknown learner {name}")
 
 
@@ -115,8 +119,7 @@ def run_experiment(cfg):
     potentials.check_gamma(cfg.get("gamma", 0.0))
     dataset, meta = load_csv(cfg["data"], cfg.get("label"))
     train, test = split_dataset(dataset, ratio, cfg.get("seed", 0))
-    learner = _make_learner(cfg.get("learner", "greedy"),
-                            cfg.get("tree_size", 5))
+    learner = _make_learner(cfg)
     algo = cfg.get("algo", "mm-approx")
     loss = _loss_from_cfg(cfg)
     if algo in ("mm-approx", "mm-exact"):
@@ -136,15 +139,15 @@ def run_experiment(cfg):
     header_meta = [f"# config {json.dumps(logged, sort_keys=True)}",
                    f"# label_map {json.dumps(meta['label_map'], sort_keys=True)}"]
 
-    # replay the run to get per-round curves on train and test
+    # per-round curves: the booster's own training predictions, and one
+    # prediction pass over the test rows
     ftr = np.zeros((train.m, train.k))
     fte = np.zeros((test.m, test.k))
     lines = ["\t".join(("t", "delta", "alpha", "Z", "train_error",
                         "test_error"))]
     for r in run.rounds:
-        ptr = r.classifier.predict_all(train)
         pte = r.classifier.predict_all(test)
-        ftr[np.arange(train.m), ptr - 1] += r.alpha
+        ftr[np.arange(train.m), r.preds - 1] += r.alpha
         fte[np.arange(test.m), pte - 1] += r.alpha
         zcol = r.Z_prev if algo != "os" else r.extra.get("avg_potential", 0.0)
         # re-check the per-round contraction before writing; clamped
@@ -202,7 +205,7 @@ def eval_model(model_path, data_path, label_column=None):
     dataset, _ = load_csv(data_path, label_column, model["label_map"])
     prov = tuple((weaklearners.tree_from_dict(r["tree"]), r["alpha"])
                  for r in model["rounds"])
-    f = ScoringFunction(prov, model["k"]).score_table(dataset)
+    f = ScoringFunction(prov).score_table(dataset)
     return {"error": training_error(f, dataset),
             "exp_risk": exp_risk(f, dataset), "m": dataset.m}
 

@@ -1,16 +1,16 @@
-"""Weak learners the boosters query. Each answers the booster's cost
-matrix: exhaustive best response over a finite space, and greedy
+"""Weak learners the boosters query. Each answers the booster's (m, k)
+cost array: exhaustive best response over a finite space, and greedy
 size-capped trees and stumps that minimize summed cost."""
 
 import numpy as np
 
-from .core import (CostMatrix, TableClassifier, WeakClassifier, is_numeric,
+from .core import (TableClassifier, WeakClassifier, is_numeric,
                    prediction_matrix)
 
 
 def best_response(Hspace, C, dataset):
     """argmin_h C.1_h; ties go to the lowest index."""
-    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    c = np.asarray(C, dtype=float)
     P = prediction_matrix(Hspace, dataset)
     costs = c[np.arange(dataset.m), P - 1].sum(axis=1)
     # lowest index among near-minimal costs: exact mathematical ties must
@@ -36,8 +36,7 @@ class FullSpaceBestResponse:
     cost argmin, realized as a memorizing table classifier."""
 
     def __call__(self, dataset, C):
-        c = C.entries if isinstance(C, CostMatrix) else np.asarray(C)
-        return TableClassifier(np.argmin(c, axis=1) + 1)
+        return TableClassifier(np.argmin(C, axis=1) + 1)
 
 
 # ------------------------------------------------------------------ trees
@@ -93,18 +92,32 @@ class Split(WeakClassifier):
                 "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
+def _is_a(value, kind):
+    """isinstance, but a JSON true/false is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def tree_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError(f"tree node {d!r} is not an object")
     if "leaf" in d:
         label = d["leaf"]
-        if not isinstance(label, int) or isinstance(label, bool):
+        if not _is_a(label, int):
             raise ValueError(f"tree leaf {label!r} is not an integer label")
         return Leaf(label)
     if {"feature", "threshold", "numeric", "left", "right"} - set(d):
         raise ValueError(f"tree node {sorted(d)} is neither a leaf nor a "
                          "full split")
-    return Split(d["feature"], d["threshold"], d["numeric"],
+    feature, threshold, numeric = d["feature"], d["threshold"], d["numeric"]
+    if not _is_a(feature, int) or feature < 0:
+        raise ValueError(f"split feature {feature!r} is not a column index")
+    if not isinstance(numeric, bool):
+        raise ValueError(f"split flag numeric = {numeric!r} is not a boolean")
+    if not (_is_a(threshold, (int, float)) if numeric
+            else isinstance(threshold, str)):
+        kind = "number" if numeric else "string"
+        raise ValueError(f"split threshold {threshold!r} is not a {kind}")
+    return Split(feature, threshold, numeric,
                  tree_from_dict(d["left"]), tree_from_dict(d["right"]))
 
 
@@ -153,10 +166,11 @@ def _split_gains(node, dataset, c):
         values = column[node.members]
         numeric = is_numeric(column)
         if numeric:
-            distinct = np.unique(values)
             order = np.argsort(values, kind="stable")
+            ordered = values[order]
+            distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
             thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-            n_left = np.searchsorted(values[order], thresholds, side="right")
+            n_left = np.searchsorted(ordered, thresholds, side="right")
             keep = (n_left > 0) & (n_left < n)
             left = np.cumsum(rows[order], axis=0)[n_left[keep] - 1]
         else:
@@ -195,7 +209,7 @@ def greedy_tree(dataset, C, max_size):
     it could never win, and the tree equals that of a full scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    c = np.asarray(C, dtype=float)
     root = _Node(np.arange(dataset.m), c)
     # Error bound (u = 2^-53, n <= m rows, S = sum|c|): every sum of cost
     # rows, prefix, per-category or a child's own, is off by at most n u S

@@ -248,7 +248,7 @@ def test_criterion_10_risk_convergence_trend():
         vals = []
         for T in (10, 50, 100, 500):
             run = bst.adaboost_mm(d, T, BestResponseLearner(space), "APPROX")
-            vals.append(T * exp_risk(run.scoring.score_table(d), d))
+            vals.append(T * exp_risk(run.f, d))
         # bounded with no growth trend: T * risk may plateau while the
         # risk is O(1/T), but it must not scale with T and the largest
         # horizon must sit at or below the smallest

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from driftboost import boosters as bst
 from driftboost import conditions as cnd
 from driftboost import potentials as pot
-from driftboost.core import (ScoringFunction, TableClassifier, exp_risk,
-                             indexed_dataset, training_error)
+from driftboost.core import (Dataset, ScoringFunction, TableClassifier,
+                             exp_risk, indexed_dataset, plurality_predict,
+                             training_error)
 from driftboost.harness import random_dataset_space
 from driftboost.weaklearners import (BestResponseLearner,
-                                     FullSpaceBestResponse, best_response)
+                                     FullSpaceBestResponse, TreeLearner,
+                                     best_response)
 
 ZO = pot.LossSpec(pot.ZERO_ONE)
 
@@ -46,7 +48,7 @@ class TestAdaBoostMM:
         h = TableClassifier([2, 1])  # always wrong: delta < 0
         run = bst.adaboost_mm(d, 3, BestResponseLearner([h]), "APPROX")
         assert all(r.alpha == 0.0 for r in run.rounds)
-        assert run.negative_edge_rounds == 3
+        assert sum(r.edge <= 0 for r in run.rounds) == 3
 
     def test_separation_clamp(self):
         d = indexed_dataset([1, 2], 2)
@@ -206,7 +208,7 @@ class TestTransform:
         space = [TableClassifier(rng.integers(1, 4, 6)) for _ in range(3)]
         _, V = bst.transform_mislabel(d, space)
         alphas = rng.uniform(0, 1, 3)
-        F = ScoringFunction(tuple(zip(space, alphas)), 3)
+        F = ScoringFunction(tuple(zip(space, alphas)))
         ftab = F.score_table(d)
         f_tilde = sum(a * v for a, v in zip(alphas, V))
         # risk-hat(F) = (k-1) * mean over triples of e^{F~} (all labels -1)
@@ -295,7 +297,7 @@ def check_os_run(monkeypatch, d, B, loss, T, learner):
     received, calls = [], []
 
     def recording_learner(dataset, C):
-        received.append(C.entries.copy())
+        received.append(C.copy())
         return learner(dataset, C)
 
     def recording_potential(b, loss, t, s):
@@ -357,13 +359,13 @@ class TestOsBooster:
         B = cnd.uniform_baseline(d, 0.2)
         run = check_os_run(monkeypatch, d, B, loss, 4,
                            FullSpaceBestResponse())
-        assert training_error(run.scoring, d) == 0.0
+        assert training_error(run.f, d) == 0.0
 
     def test_zero_rounds_trivial_error(self):
         d = indexed_dataset([1, 2, 3], 3)
         B = cnd.uniform_baseline(d, 0.0)
         run = bst.os_boost_fixed(d, B, ZO, 0, FullSpaceBestResponse())
-        assert training_error(run.scoring, d) == 1.0
+        assert training_error(run.f, d) == 1.0
 
     def test_zeroone_window_run(self):
         m, gp = 11, 0.15
@@ -371,7 +373,7 @@ class TestOsBooster:
         B = window_eor_baseline(d, m, gp)
         run = bst.os_boost_fixed(d, B, ZO, 10, BestResponseLearner(space))
         assert run.extra["condition_satisfied"]
-        assert training_error(run.scoring, d) <= \
+        assert training_error(run.f, d) <= \
             run.extra["initial_potential"] + 1e-9
         avgs = [run.extra["initial_potential"]] + \
             [r.extra["avg_potential"] for r in run.rounds]
@@ -383,7 +385,7 @@ class TestOsBooster:
         run = bst.os_boost_fixed(d, B, ZO, 10, FullSpaceBestResponse())
         assert run.extra["initial_potential"] == pytest.approx(
             0.8848833106297312, abs=1e-10)
-        assert training_error(run.scoring, d) <= \
+        assert training_error(run.f, d) <= \
             run.extra["initial_potential"] + 1e-9
 
     def test_exp_loss_exponential_bound(self):
@@ -395,7 +397,7 @@ class TestOsBooster:
         run = bst.os_boost_fixed(d, B, pot.LossSpec(pot.EXP, eta), T,
                                  FullSpaceBestResponse())
         assert run.extra["condition_satisfied"]
-        err = training_error(run.scoring, d)
+        err = training_error(run.f, d)
         assert err <= (k - 1) * math.exp(-T * gamma ** 2 / 2) + 1e-9
 
     def test_violating_learner_recorded_not_asserted(self):
@@ -403,8 +405,71 @@ class TestOsBooster:
         B = cnd.uniform_baseline(d, 0.5)
 
         def worst(dataset, C):
-            c = C.entries
-            return TableClassifier(np.argmax(c, axis=1) + 1)
+            return TableClassifier(np.argmax(C, axis=1) + 1)
 
         run = bst.os_boost_fixed(d, B, ZO, 3, worst)
         assert not run.extra["condition_satisfied"]
+
+
+def summed_table(run, d):
+    """sum_t alpha_t 1[h_t(x) = l] over the run's rounds."""
+    return ScoringFunction(tuple((r.classifier, r.alpha)
+                                 for r in run.rounds)).score_table(d)
+
+
+class TestRunScores:
+    """Runs hand back their final training scores and each round's
+    training predictions, so no caller predicts the training rows again."""
+
+    @pytest.mark.parametrize("rule", ["APPROX", "EXACT"])
+    def test_mm_scores_are_the_summed_table(self, rule):
+        rng = random.Random(12)
+        cases = [cnd.window_fixture(21, 0.2)[:2]] + [
+            random_dataset_space(rng, rng.randrange(3, 12),
+                                 rng.randrange(2, 5), rng.randrange(2, 7))
+            for _ in range(6)]
+        for d, space in cases:
+            run = bst.adaboost_mm(d, 30, BestResponseLearner(space), rule)
+            assert np.array_equal(run.f, summed_table(run, d))
+            for r in run.rounds:
+                assert np.array_equal(r.preds, r.classifier.predict_all(d))
+
+    @pytest.mark.parametrize("loss", [ZO] + [pot.LossSpec(pot.EXP, eta)
+                                             for eta in (0.0, 1e-9, 0.1,
+                                                         0.7)],
+                             ids=["zeroone", "eta0", "eta1e-9", "eta0.1",
+                                  "eta0.7"])
+    def test_os_scores_rank_as_the_summed_table(self, loss):
+        # alpha * s gives equal counts equal scores, as the summed table
+        # does; at eta = 0 both are all ties
+        rng = np.random.default_rng(9)
+        for learner in (TreeLearner(5), FullSpaceBestResponse()):
+            for _ in range(4):
+                m, k = int(rng.integers(5, 30)), int(rng.integers(2, 5))
+                d = Dataset((rng.integers(0, 6, m), rng.normal(size=m)),
+                            rng.integers(1, k + 1, m), k)
+                B = cnd.uniform_baseline(d, 0.1)
+                run = bst.os_boost_fixed(d, B, loss, 6, learner)
+                summed = summed_table(run, d)
+                assert training_error(run.f, d) == training_error(summed, d)
+                assert np.array_equal(plurality_predict(run.f),
+                                      plurality_predict(summed))
+                for r in run.rounds:
+                    assert np.array_equal(r.preds,
+                                          r.classifier.predict_all(d))
+
+    def test_binary_scores_are_f_tilde(self):
+        rng = random.Random(8)
+        for _ in range(6):
+            d, space = random_dataset_space(rng, rng.randrange(2, 10),
+                                            rng.randrange(2, 5),
+                                            rng.randrange(2, 7))
+            (i, y, l), V = bst.transform_mislabel(d, space)
+            run = bst.adaboost_binary(V, 20)
+            ft = np.zeros(V.shape[1])
+            for r in run.rounds:
+                ft = ft + r.alpha * V[r.classifier]
+            assert np.array_equal(run.f, ft)
+            mm = bst.adaboost_mm(d, 20, BestResponseLearner(space), "APPROX")
+            assert np.allclose(run.f, mm.f[i, l - 1] - mm.f[i, y - 1],
+                               rtol=0.0, atol=1e-8)

@@ -12,24 +12,24 @@ from driftboost.core import (CostMatrix, Dataset, ScoringFunction,
 
 class TestPluralityPredict:
     def test_all_zero_ties_to_lowest(self):
-        F = ScoringFunction.zero(4)
-        assert plurality_predict(F, indexed_dataset([1], 4)).tolist() == [1]
+        F = ScoringFunction(()).score_table(indexed_dataset([1], 4))
+        assert plurality_predict(F).tolist() == [1]
 
     def test_unique_argmax(self):
         h = TableClassifier([2])
-        F = ScoringFunction(((h, 0.9),), 3)
-        assert plurality_predict(F, indexed_dataset([1], 3)).tolist() == [2]
+        F = ScoringFunction(((h, 0.9),)).score_table(indexed_dataset([1], 3))
+        assert plurality_predict(F).tolist() == [2]
 
     def test_two_classifier_tie(self):
         # alpha=(1,1) over h1 == 1 and h2 == 2: tie 1 vs 1 -> label 1
         h1, h2 = TableClassifier([1]), TableClassifier([2])
-        F = ScoringFunction(((h1, 1.0), (h2, 1.0)), 3)
-        assert plurality_predict(F, indexed_dataset([1], 3)).tolist() == [1]
+        F = ScoringFunction(((h1, 1.0), (h2, 1.0))).score_table(
+            indexed_dataset([1], 3))
+        assert plurality_predict(F).tolist() == [1]
 
     def test_per_example_argmax_of_score_table(self):
-        d = indexed_dataset([1, 1, 1], 3)
         F = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-        assert plurality_predict(F, d).tolist() == [2, 1, 3]
+        assert plurality_predict(F).tolist() == [2, 1, 3]
 
     @given(st.lists(st.integers(-100, 100), min_size=2, max_size=6),
            st.integers(-50, 50))
@@ -43,29 +43,31 @@ class TestPluralityPredict:
 class TestTrainingError:
     def test_zero_scores_all_error(self):
         d = indexed_dataset([1, 2, 1], 2)
-        assert training_error(ScoringFunction.zero(2), d) == 1.0
+        assert training_error(ScoringFunction(()).score_table(d), d) == 1.0
 
     def test_strict_separation(self):
         d = indexed_dataset([1, 2], 2)
         h = TableClassifier([1, 2])
-        assert training_error(ScoringFunction(((h, 1.0),), 2), d) == 0.0
+        F = ScoringFunction(((h, 1.0),)).score_table(d)
+        assert training_error(F, d) == 0.0
 
     def test_figure_one_uniform_mixture_all_tied(self):
         d = indexed_dataset([1, 2], 3)
         h1, h2 = TableClassifier([1, 1]), TableClassifier([2, 2])
-        F = ScoringFunction(((h1, 0.5), (h2, 0.5)), 3)
+        F = ScoringFunction(((h1, 0.5), (h2, 0.5))).score_table(d)
         assert training_error(F, d) == 1.0
 
 
 class TestExpRisk:
     def test_zero_scores(self):
         d = indexed_dataset([1, 2], 3)
-        assert exp_risk(ScoringFunction.zero(3), d) == pytest.approx(2.0)
+        F = ScoringFunction(()).score_table(d)
+        assert exp_risk(F, d) == pytest.approx(2.0)
 
     def test_single_binary_example(self):
         d = indexed_dataset([1], 2)
         h = TableClassifier([1])
-        F = ScoringFunction(((h, 1.0),), 2)
+        F = ScoringFunction(((h, 1.0),)).score_table(d)
         assert exp_risk(F, d) == pytest.approx(math.exp(-1))
 
     def test_direct_sum(self):

@@ -59,6 +59,14 @@ def train_choices(dest):
                 if a.dest == dest)
 
 
+def split_model(**fields):
+    """A one-split model whose split node takes the given fields."""
+    node = {"feature": 0, "threshold": 0.5, "numeric": True,
+            "left": {"leaf": 1}, "right": {"leaf": 2}}
+    return {"k": 2, "label_map": {"a": 1, "b": 2},
+            "rounds": [{"alpha": 1.0, "tree": dict(node, **fields)}]}
+
+
 def rows(d):
     """The dataset's feature rows as tuples."""
     return list(zip(*(col.tolist() for col in d.columns)))
@@ -196,6 +204,28 @@ class TestRunExperiment:
                                      "gamma": 0.0, "split": 0.9})
         assert 0.0 <= metrics["train_error"] <= 1.0
 
+    @pytest.mark.parametrize("algo", ["os", "mm-approx"])
+    def test_each_row_predicted_once_per_round(self, algo, tmp_path,
+                                               monkeypatch):
+        # the OS bound check and the training curve used to predict every
+        # tree on the training rows again
+        data = tmp_path / "w.csv"
+        window_csv(data, 21, 0.1)
+        counted = []
+        predict_all = WeakClassifier.predict_all
+
+        def counting(self, dataset):
+            counted.append(dataset.m)
+            return predict_all(self, dataset)
+
+        monkeypatch.setattr(WeakClassifier, "predict_all", counting)
+        metrics = hz.run_experiment({"data": str(data),
+                                     "out": str(tmp_path / "o"),
+                                     "algo": algo, "learner": "stump",
+                                     "rounds": 6, "split": 0.8})
+        assert metrics["rounds_run"] == 6
+        assert sum(counted) == 6 * 21  # T (m_train + m_test)
+
     def test_unknown_learner(self, tmp_path):
         data = tmp_path / "w.csv"
         window_csv(data, 11, 0.1)
@@ -272,7 +302,7 @@ class TestEvalByLabelName:
         rows = [i for i, ln in enumerate(body) if not ln.endswith(",3")]
         F = ScoringFunction(tuple((tree_from_dict(r["tree"]), r["alpha"])
                                   for r in json.loads(model.read_text())
-                                  ["rounds"]), 3)
+                                  ["rounds"]))
         f = F.score_table(full)[rows]
         assert got["m"] == len(keep)
         assert got["error"] == training_error(f, full.subset(rows))
@@ -408,6 +438,20 @@ class TestCli:
         rc = cli.main(["eval", str(out / "model.json"), str(data)])
         assert rc == 0
 
+    @pytest.mark.parametrize("learner, tree_size", [("greedy", 5),
+                                                    ("stump", None)])
+    def test_tree_size_recorded_for_greedy_only(self, learner, tree_size,
+                                                tmp_path):
+        # run.tsv's config line names the cap only where one was applied
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        out = tmp_path / "o"
+        assert cli.main(["train", str(data), "--learner", learner,
+                         "--rounds", "2", "--out", str(out)]) == 0
+        config = (out / "run.tsv").read_text().splitlines()[0]
+        cfg = json.loads(config.removeprefix("# config "))
+        assert cfg.get("tree_size") == tree_size
+
     def test_potentials_and_degree_map(self, tmp_path):
         out = tmp_path / "pot"
         assert cli.main(["potentials", "--k", "6", "--gamma", "0",
@@ -452,7 +496,7 @@ class TestCli:
         # true labels say; a learner that reads C follows it
         d = Dataset((np.arange(4.0),), [1, 1, 2, 2], 2)
         C1 = np.array([[0.0, 1.0]] * 4)
-        h = hz._make_learner(learner, 5)
+        h = hz._make_learner({"learner": learner})
         assert h(d, C1).predict_all(d).tolist() == [1, 1, 1, 1]
         assert h(d, C1[:, ::-1]).predict_all(d).tolist() == [2, 2, 2, 2]
 
@@ -553,6 +597,18 @@ class TestCliRejectsBadInput:
         err = self.run(argv + ["--out", str(tmp_path / "out")], capsys)
         assert err.startswith("error: need 0 <= gamma < 1")
 
+    def test_tree_size_with_stump(self, tmp_path, capsys):
+        # used to write "tree_size": 9 into run.tsv and grow 3-node trees
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        out = tmp_path / "out"
+        err = self.run(["train", str(data), "--learner", "stump",
+                        "--tree-size", "9", "--out", str(out)], capsys)
+        assert err.startswith("error: tree_size applies to the greedy "
+                              "learner only")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_potentials_k_below_two(self, tmp_path, capsys):
         err = self.run(["potentials", "--k", "1", "--out", "-"], capsys)
         assert err.startswith("error: need k >= 2")
@@ -616,7 +672,21 @@ class TestCliRejectsBadInput:
          "tree leaf True is not an integer label"),
         ({"k": 5, "label_map": {"a": 1, "b": 2}, "rounds": []},
          "model has k = 5, but its label_map names 2 labels"),
-        ({"k": 2, "label_map": 5, "rounds": []}, "need a JSON object")])
+        ({"k": 2, "label_map": 5, "rounds": []}, "need a JSON object"),
+        # split fields were read unchecked: a fractional feature ended in
+        # a TypeError, a text threshold in a numpy loop error, and `true`
+        # was read as column 1
+        (split_model(feature=0.5), "split feature 0.5 is not a column index"),
+        (split_model(feature=True),
+         "split feature True is not a column index"),
+        (split_model(feature=-1), "split feature -1 is not a column index"),
+        (split_model(numeric=1), "split flag numeric = 1 is not a boolean"),
+        (split_model(threshold="abc"),
+         "split threshold 'abc' is not a number"),
+        (split_model(threshold=False),
+         "split threshold False is not a number"),
+        (split_model(numeric=False, threshold=0.5),
+         "split threshold 0.5 is not a string")])
     def test_malformed_model(self, model, message, tmp_path, capsys):
         # each used to escape as a KeyError, TypeError or IndexError
         path = tmp_path / "m.json"

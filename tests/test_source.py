@@ -98,3 +98,49 @@ def test_no_classes_inside_functions():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in function_classes(ast.parse(path.read_text()))]
     assert found == []
+
+
+# protocol overrides take the arguments their callers pass, read or not
+PROTOCOL = {"route", "predict_all", "__call__"}
+
+
+def unused_parameters(tree):
+    """(line, function, parameter) of every parameter, self and cls
+    aside, that its function never reads; protocol overrides are
+    exempt."""
+    found = []
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.name in PROTOCOL):
+            continue
+        a = fn.args
+        params = [p for p in (*a.posonlyargs, *a.args, a.vararg,
+                              *a.kwonlyargs, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [(fn.lineno, fn.name, p.arg) for p in params
+                  if p.arg not in read]
+    return found
+
+
+def test_unused_parameters_detected():
+    tree = ast.parse("def plurality_predict(F, dataset):\n"
+                     "    return F.argmax(axis=1) + 1\n"
+                     "def f(a, *b, c, **d):\n    a = c\n"
+                     "class A:\n    def g(self, x):\n        return x\n"
+                     "    def __call__(self, dataset, C):\n        return C\n")
+    assert unused_parameters(tree) == [(1, "plurality_predict", "dataset"),
+                                       (3, "f", "a"), (3, "f", "b"),
+                                       (3, "f", "d")]
+
+
+def test_no_unused_parameters():
+    """A parameter that no code reads misleads every caller that fills
+    it in."""
+    found = [f"{path.name}:{line} {name}({param})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name, param in unused_parameters(
+                 ast.parse(path.read_text()))]
+    assert found == []

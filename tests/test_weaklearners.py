@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftboost import conditions as cnd
-from driftboost.core import (CostMatrix, Dataset, TableClassifier,
-                             indexed_dataset, is_numeric)
+from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
+                             is_numeric)
 from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, Leaf, Split,
                                      TreeLearner, best_response, greedy_tree,
@@ -168,7 +168,7 @@ def reference_greedy_tree(dataset, C, max_size):
     """The full scan that the prefix-sum search replaced, kept verbatim:
     every candidate builds its mask and both children, and every
     expansion rescans every leaf."""
-    c = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    c = np.asarray(C, dtype=float)
 
     class Work:
         __slots__ = ("members", "score", "label", "split", "left", "right")
@@ -319,7 +319,7 @@ class TestSplitSearchMatchesFullScan:
                      rng.integers(0, 6, 300),
                      np.array(list("pqrs"))[rng.integers(0, 4, 300)]),
                     rng.integers(1, 4, 300), 3)
-        C = CostMatrix(rng.normal(size=(300, 3)))
+        C = rng.normal(size=(300, 3))
         assert (greedy_tree(d, C, 9).to_dict()
                 == reference_greedy_tree(d, C, 9).to_dict())
 

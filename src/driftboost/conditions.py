@@ -7,10 +7,11 @@ counterexample fixtures.
 
 The game solved is  min_lambda max_C  C . (H_lambda - B)  with cost rows
 restricted to the family cone, l1-normalized to <= 1. Each family cone
-has finitely many extreme rays per row, so the game is a small LP; we
-solve it exactly and report a duality gap recomputed from the two
-returned certificates (mixture and cost matrix), not trusted from the
-solver.
+has finitely many extreme rays per row, so the game is a small dense
+LP. HiGHS solves it by interior point with crossover, so the solution is
+a basic one: the mixture and the dual weights of the cost-matrix
+certificate are read from the crossover basis. The reported duality gap
+is recomputed from those two certificates, not trusted from the solver.
 
 The cost rows are built from the labels alone (_vertex_rows), one (m, r, k)
 table per family. EOR shares MH's rows -e_y and e_l (l != y): the EOR cone
@@ -144,6 +145,9 @@ def _solve_lp(P, rows, B, per_example):
     rows[i, q] . (H_lambda(i) - B(i)) <= slack, with one slack >= 0 per
     example (per_example) or one free slack shared by every row.
 
+    HiGHS solves it by interior point with crossover, so the dual weights
+    mu are those of a basic solution, as under the simplex.
+
     Returns (lambda, H_lambda, certificate, lower): the
     certificate is the cost matrix sum_q mu[i, q] rows[i, q] of the dual
     weights mu, and lower = min_j certificate . (1_{h_j} - B)."""
@@ -165,7 +169,7 @@ def _solve_lp(P, rows, B, per_example):
     a_eq = np.concatenate([np.ones(n), np.zeros(slacks)])[None, :]
     bounds = [(0, None)] * n + [(0 if per_example else None, None)] * slacks
     res = linprog(c_obj, A_ub=A, b_ub=rhs, A_eq=a_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
+                  bounds=bounds, method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"game LP failed: {res.message}")
 

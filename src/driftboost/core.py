@@ -8,6 +8,7 @@ Labels live in {1..k} everywhere; arrays are 0-indexed, so column l-1
 holds label l. True labels are kept as given (no relabeling to 1).
 """
 
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -15,6 +16,12 @@ import numpy as np
 def is_numeric(column):
     """Int or float dtype: numeric; str dtype: categorical."""
     return column.dtype.kind in "iuf"
+
+
+def is_finite(number):
+    """A Python int or float that a float holds finitely: NaN compares
+    false, and an int too large for a float counts as infinite."""
+    return abs(number) <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)

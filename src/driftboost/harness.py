@@ -14,7 +14,7 @@ import numpy as np
 
 from . import boosters, conditions, potentials, weaklearners
 from .core import (Dataset, ScoringFunction, TableClassifier, exp_risk,
-                   indexed_dataset, is_numeric, training_error)
+                   indexed_dataset, is_finite, is_numeric, training_error)
 from .potentials import EXP, ZERO_ONE, LossSpec
 
 
@@ -202,6 +202,8 @@ def eval_model(model_path, data_path, label_column=None):
         if (not isinstance(r, dict) or {"alpha", "tree"} - r.keys()
                 or not isinstance(r["alpha"], (int, float))):
             raise ValueError(f"round {t} needs a numeric alpha and a tree")
+        if not is_finite(r["alpha"]):
+            raise ValueError(f"round {t} alpha {r['alpha']!r} is not finite")
     dataset, _ = load_csv(data_path, label_column, model["label_map"])
     prov = tuple((weaklearners.tree_from_dict(r["tree"]), r["alpha"])
                  for r in model["rounds"])

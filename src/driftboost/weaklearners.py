@@ -4,31 +4,42 @@ size-capped trees and stumps that minimize summed cost."""
 
 import numpy as np
 
-from .core import (TableClassifier, WeakClassifier, is_numeric,
+from .core import (TableClassifier, WeakClassifier, is_finite, is_numeric,
                    prediction_matrix)
 
 
-def best_response(Hspace, C, dataset):
-    """argmin_h C.1_h; ties go to the lowest index."""
+def _argmin_cost(P, C):
+    """Row j of the (n, m) prediction matrix P minimizing C.1_{h_j}; ties
+    go to the lowest index."""
     c = np.asarray(C, dtype=float)
-    P = prediction_matrix(Hspace, dataset)
-    costs = c[np.arange(dataset.m), P - 1].sum(axis=1)
+    costs = c[np.arange(P.shape[1]), P - 1].sum(axis=1)
     # lowest index among near-minimal costs: exact mathematical ties must
     # not be broken by float summation noise, so the window is relative
     # to the cost scale (which shrinks with the weights)
     tol = 1e-12 * float(np.abs(c).sum())
-    return Hspace[int(np.argmax(costs <= costs.min() + tol))]
+    return int(np.argmax(costs <= costs.min() + tol))
+
+
+def best_response(Hspace, C, dataset):
+    """argmin_h C.1_h; ties go to the lowest index."""
+    return Hspace[_argmin_cost(prediction_matrix(Hspace, dataset), C)]
 
 
 class BestResponseLearner:
     """Learner closure over a fixed finite space; it returns members of
-    the space itself, so runs compare classifiers by identity."""
+    the space itself, so runs compare classifiers by identity. The
+    prediction matrix of the last dataset it was called with is kept,
+    so a run predicts the space once, not once per round."""
 
     def __init__(self, Hspace):
         self.space = list(Hspace)
+        self._dataset = self._P = None
 
     def __call__(self, dataset, C):
-        return best_response(self.space, C, dataset)
+        if dataset is not self._dataset:
+            self._dataset = dataset
+            self._P = prediction_matrix(self.space, dataset)
+        return self.space[_argmin_cost(self._P, C)]
 
 
 class FullSpaceBestResponse:
@@ -117,6 +128,8 @@ def tree_from_dict(d):
             else isinstance(threshold, str)):
         kind = "number" if numeric else "string"
         raise ValueError(f"split threshold {threshold!r} is not a {kind}")
+    if numeric and not is_finite(threshold):
+        raise ValueError(f"split threshold {threshold!r} is not finite")
     return Split(feature, threshold, numeric,
                  tree_from_dict(d["left"]), tree_from_dict(d["right"]))
 

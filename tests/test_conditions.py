@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 from driftboost import conditions as cnd
@@ -410,6 +411,16 @@ def separation_lp_per_row(space, d):
             [(0, None)] * n + [(None, None)])
 
 
+def simplex_optimum(lp):
+    """Optimum of a row-by-row game LP over the simplex of its zero-cost
+    columns, solved by HiGHS dual simplex."""
+    A, b, c, bounds = lp
+    res = linprog(c, A_ub=A, b_ub=b, A_eq=(c == 0.0).astype(float)[None, :],
+                  b_eq=[1.0], bounds=bounds, method="highs")
+    assert res.success
+    return res.fun
+
+
 class TestLpInputs:
     """The LPs handed to the solver equal their row-by-row definitions."""
 
@@ -477,12 +488,32 @@ class TestEorRows:
                                     "EOR")
             cond = cnd.make_condition("EOR-fixed", 0.1, d, baseline)
             rep = cnd.solve_game(space, cond, d)
-            A, b, c, bounds = game_lp_per_row(space, d, "EOR-all",
-                                              cond.baseline.entries)
-            assert A.shape[0] == m * (2 * k - 1)
-            full = linprog(c, A_ub=A, b_ub=b,
-                           A_eq=(c == 0.0).astype(float)[None, :],
-                           b_eq=[1.0], bounds=bounds, method="highs")
-            assert full.success
-            assert rep.value == pytest.approx(full.fun, abs=1e-7)
+            lp = game_lp_per_row(space, d, "EOR-all", cond.baseline.entries)
+            assert lp[0].shape[0] == m * (2 * k - 1)
+            assert rep.value == pytest.approx(simplex_optimum(lp), abs=1e-7)
             assert rep.cost_matrix.validate(d.labels)
+
+
+class TestIndependentSolve:
+    """The reported values match a separate dual-simplex solve of the
+    same LP, built row by row, and the recomputed gaps stay tiny."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_games_match_simplex(self, seed):
+        rng = random.Random(seed)
+        d, space = random_dataset_space(rng, 60, 5, 60)
+        for name in ("EOR-fixed", "SAMME", "MR"):
+            cond = cnd.make_condition(name, 0.1, d)
+            rep = cnd.solve_game(space, cond, d)
+            want = simplex_optimum(game_lp_per_row(
+                space, d, cond.family, cond.baseline.entries))
+            assert rep.value == pytest.approx(want, rel=0, abs=1e-7)
+            assert rep.gap <= 1e-9
+        rep = cnd.is_boostable(space, d)
+        want = simplex_optimum(separation_lp_per_row(space, d))
+        assert rep.margin == pytest.approx(-want, rel=0, abs=1e-7)
+        assert rep.gap <= 1e-9
+
+    def test_linprog_bound_by_name(self):
+        # the benchmark wraps conditions.linprog to time the solver
+        assert cnd.linprog is scipy.optimize.linprog

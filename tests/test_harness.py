@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -59,12 +60,13 @@ def train_choices(dest):
                 if a.dest == dest)
 
 
-def split_model(**fields):
-    """A one-split model whose split node takes the given fields."""
+def split_model(alpha=1.0, **fields):
+    """A one-split model of the given alpha whose split node takes the
+    given fields."""
     node = {"feature": 0, "threshold": 0.5, "numeric": True,
             "left": {"leaf": 1}, "right": {"leaf": 2}}
     return {"k": 2, "label_map": {"a": 1, "b": 2},
-            "rounds": [{"alpha": 1.0, "tree": dict(node, **fields)}]}
+            "rounds": [{"alpha": alpha, "tree": dict(node, **fields)}]}
 
 
 def rows(d):
@@ -686,7 +688,19 @@ class TestCliRejectsBadInput:
         (split_model(threshold=False),
          "split threshold False is not a number"),
         (split_model(numeric=False, threshold=0.5),
-         "split threshold 0.5 is not a string")])
+         "split threshold 0.5 is not a string"),
+        # a non-finite threshold sent every row right, and a non-finite
+        # alpha made every score NaN, which no row counts as an error:
+        # both used to evaluate with exit 0
+        (split_model(threshold=math.nan), "split threshold nan is not finite"),
+        (split_model(threshold=math.inf), "split threshold inf is not finite"),
+        (split_model(threshold=-math.inf),
+         "split threshold -inf is not finite"),
+        # an int too large for a float (message cut to keep the id short)
+        (split_model(threshold=10 ** 400), "split threshold 10000000000"),
+        (split_model(alpha=math.nan), "round 1 alpha nan is not finite"),
+        (split_model(alpha=math.inf), "round 1 alpha inf is not finite"),
+        (split_model(alpha=-math.inf), "round 1 alpha -inf is not finite")])
     def test_malformed_model(self, model, message, tmp_path, capsys):
         # each used to escape as a KeyError, TypeError or IndexError
         path = tmp_path / "m.json"
@@ -696,3 +710,4 @@ class TestCliRejectsBadInput:
         err = self.run(["eval", str(path), str(data)], capsys)
         assert err.startswith(f"error: {path}: {message}"
                               if "JSON" in message else f"error: {message}")
+        assert err.count("\n") == 1

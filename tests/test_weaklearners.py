@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftboost import conditions as cnd
+from driftboost import weaklearners as wl
 from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
                              is_numeric)
 from driftboost.weaklearners import (BestResponseLearner,
@@ -54,6 +55,34 @@ class TestBestResponse:
         learner = BestResponseLearner(space)
         assert learner(d, np.zeros((2, 3))) is space[0]
         assert not any(hasattr(h, "index") for h in space)
+
+    def test_learner_predicts_each_dataset_once(self, monkeypatch):
+        # the learner used to rebuild the prediction matrix every round
+        calls = []
+        real = wl.prediction_matrix
+        monkeypatch.setattr(wl, "prediction_matrix",
+                            lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(9)
+        d1 = indexed_dataset(rng.integers(1, 4, 6), 3)
+        d2 = indexed_dataset(rng.integers(1, 4, 6), 3)
+        space = [TableClassifier(rng.integers(1, 4, 6)) for _ in range(4)]
+        learner = BestResponseLearner(space)
+        for d in (d1, d1, d1, d2, d2, d1):
+            learner(d, rng.normal(size=(6, 3)))
+        assert [a[1] for a in calls] == [d1, d2, d1]
+
+    def test_learner_equals_best_response(self):
+        # ties included: integer costs on three labels tie often
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            m, k = 5, 3
+            d = indexed_dataset(rng.integers(1, k + 1, m), k)
+            space = [TableClassifier(rng.integers(1, k + 1, m))
+                     for _ in range(6)]
+            learner = BestResponseLearner(space)
+            for scale in (1.0, 1e-9):
+                C = scale * rng.integers(-1, 2, (m, k)).astype(float)
+                assert learner(d, C) is best_response(space, C, d)
 
 
 class TestFullSpaceBestResponse:

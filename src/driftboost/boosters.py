@@ -53,17 +53,6 @@ def _mm_weight_matrix(f, y):
     return e
 
 
-def edge_minimal(C, h_preds, f, labels):
-    """delta = (-C.1_h) / Z for the adaptive cost matrix at state f."""
-    c = np.asarray(C, dtype=float)
-    y = np.asarray(labels, dtype=int) - 1
-    z = _mm_weight_matrix(np.asarray(f, dtype=float), y).sum()
-    if z <= 0.0:
-        raise ValueError("Z = 0: state already separated")
-    preds = np.asarray(h_preds, dtype=int)
-    return float(-c[np.arange(len(preds)), preds - 1].sum() / z)
-
-
 def drop_factor_exact(A_plus, A_minus, Z_prev, delta):
     """Exact per-round loss drop under the EXACT step rule:
     (1 - c) + sqrt(c^2 - delta^2) with c = (A_plus + A_minus)/Z_prev.
@@ -95,7 +84,7 @@ def _step(delta, ratio=None):
 def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
     """Algorithm with original labels y_i: adaptive cost matrix, edge
     delta_t = (-C_t.1_h)/Z_{t-1}, APPROX or EXACT step, clamp at
-    ALPHA_MAX on separation."""
+    ALPHA_MAX on separation; Z_t > sqrt(1 - delta_t^2) Z_{t-1} raises."""
     if step_rule not in ("APPROX", "EXACT"):
         raise ValueError("step_rule must be APPROX or EXACT")
     m, k = dataset.m, dataset.k
@@ -127,6 +116,11 @@ def adaboost_mm(dataset, T, learner, step_rule="APPROX"):
         # exact identity: Z_t = Z - (1-e^-a) A_plus + (e^a - 1) A_minus
         Z_after = Z - (1.0 - math.exp(-alpha)) * A_plus \
             + (math.exp(alpha) - 1.0) * A_minus
+        # a negative edge (alpha = 0) and a clamped step are exempt
+        bound = Z * math.sqrt(max(1.0 - delta * delta, 0.0)) + 1e-9
+        if delta >= 0.0 and not clamped and Z_after > bound:
+            raise RuntimeError(f"round {t}: Z contraction violated "
+                               f"({Z_after} > {bound})")
         rounds.append(BoostRound(t, h, delta, alpha, Z, Z_after, A_plus,
                                  A_minus, preds))
         if clamped:
@@ -190,11 +184,16 @@ def transform_mislabel(dataset, Hspace):
     wrong label, ordered by example, then by l; and the transformed space
     as one (n, m(k-1)) float matrix V[j, q] = 1[h_j(x_i) = l] -
     1[h_j(x_i) = y] for triple q, in {-1, 0, +1}."""
+    return _mislabel(dataset, prediction_matrix(Hspace, dataset))
+
+
+def _mislabel(dataset, P):
+    """transform_mislabel of the space with prediction matrix P."""
     m, k = dataset.m, dataset.k
     i = np.repeat(np.arange(m), k - 1)
     y = np.repeat(dataset.labels, k - 1)
     l = wrong_labels(dataset.labels, k).ravel()
-    p = prediction_matrix(Hspace, dataset)[:, i]
+    p = P[:, i]
     return (i, y, l), (p == l).astype(float) - (p == y)
 
 
@@ -232,8 +231,9 @@ def check_run_equivalence(dataset, Hspace, T, tol=1e-9):
     """AdaBoost.MM (APPROX, exhaustive best response) against binary
     AdaBoost on the mislabel transform: same classifier each round, same
     weights, same normalized per-triple weights. Returns (ok, detail)."""
-    mm = adaboost_mm(dataset, T, BestResponseLearner(Hspace), "APPROX")
-    (ti, ty, tl), V = transform_mislabel(dataset, Hspace)
+    learner = BestResponseLearner(Hspace)
+    (ti, ty, tl), V = _mislabel(dataset, learner.matrix(dataset))
+    mm = adaboost_mm(dataset, T, learner, "APPROX")
     bin_run = adaboost_binary(V, T)
 
     y = dataset.labels - 1

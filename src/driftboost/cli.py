@@ -11,10 +11,6 @@ import sys
 from . import harness
 
 
-def _default_out():
-    return os.environ.get("DRIFTBOOST_OUT", ".")
-
-
 def _add_common(p):
     """The edge and loss options, and the output directory."""
     p.add_argument("--gamma", type=float, default=0.0)
@@ -69,7 +65,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    out = getattr(args, "out", None) or _default_out()
+    out = getattr(args, "out", None) or os.environ.get("DRIFTBOOST_OUT", ".")
     try:
         loss = harness._loss_from_cfg(vars(args))
         if args.command == "train":

@@ -78,7 +78,7 @@ def eor_baseline(dataset, rows, gamma):
 @dataclass(frozen=True)
 class Condition:
     family: str          # cost family tag
-    baseline: Baseline   # None for MINIMAL (the whole family B^eor_gamma)
+    baseline: Baseline
 
 
 def make_condition(name, gamma, dataset, baseline=None):
@@ -89,9 +89,6 @@ def make_condition(name, gamma, dataset, baseline=None):
             return Condition("EOR", uniform_baseline(dataset, gamma))
         eor_baseline(dataset, baseline.entries, gamma)  # checks the rows
         return Condition("EOR", baseline)
-    if name == "MINIMAL":
-        check_gamma(gamma)
-        return Condition("EOR", None)
     raise ValueError(f"unknown condition {name}")
 
 
@@ -186,8 +183,6 @@ def _solve_lp(P, rows, B, per_example):
 
 def solve_game(Hspace, cond, dataset, tol=1e-7):
     """Value, mixture and achieving cost matrix of the condition game."""
-    if cond.baseline is None:
-        raise ValueError("MINIMAL has no single baseline; use is_boostable")
     y = dataset.labels - 1
     B = cond.baseline.entries
     rows = _vertex_rows(cond.family, dataset.k, y)

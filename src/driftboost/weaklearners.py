@@ -35,11 +35,14 @@ class BestResponseLearner:
         self.space = list(Hspace)
         self._dataset = self._P = None
 
-    def __call__(self, dataset, C):
+    def matrix(self, dataset):
         if dataset is not self._dataset:
             self._dataset = dataset
             self._P = prediction_matrix(self.space, dataset)
-        return self.space[_argmin_cost(self._P, C)]
+        return self._P
+
+    def __call__(self, dataset, C):
+        return self.space[_argmin_cost(self.matrix(dataset), C)]
 
 
 class FullSpaceBestResponse:
@@ -79,15 +82,7 @@ class Split(WeakClassifier):
         self.right = right
 
     def route(self, dataset, idx, out):
-        if not 0 <= self.feature < len(dataset.columns):
-            raise ValueError(f"split on column {self.feature}, but the data "
-                             f"has {len(dataset.columns)} feature columns")
-        column = dataset.columns[self.feature]
-        if is_numeric(column) != self.numeric:
-            kind = "numeric" if self.numeric else "categorical"
-            raise ValueError(f"model splits column {self.feature} as "
-                             f"{kind}, but it is not {kind} in the data")
-        values = column[idx]
+        values = dataset.columns[self.feature][idx]
         left = (values <= self.threshold if self.numeric
                 else values == self.threshold)
         self.left.route(dataset, idx[left], out)
@@ -108,13 +103,16 @@ def _is_a(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def tree_from_dict(d):
+def tree_from_dict(d, dataset):
+    """A model file's tree, checked against the dataset it will predict."""
     if not isinstance(d, dict):
         raise ValueError(f"tree node {d!r} is not an object")
     if "leaf" in d:
         label = d["leaf"]
         if not _is_a(label, int):
             raise ValueError(f"tree leaf {label!r} is not an integer label")
+        if not 1 <= label <= dataset.k:
+            raise ValueError(f"tree leaf {label} is outside 1..{dataset.k}")
         return Leaf(label)
     if {"feature", "threshold", "numeric", "left", "right"} - set(d):
         raise ValueError(f"tree node {sorted(d)} is neither a leaf nor a "
@@ -130,8 +128,16 @@ def tree_from_dict(d):
         raise ValueError(f"split threshold {threshold!r} is not a {kind}")
     if numeric and not is_finite(threshold):
         raise ValueError(f"split threshold {threshold!r} is not finite")
+    if feature >= len(dataset.columns):
+        raise ValueError(f"split on column {feature}, but the data has "
+                         f"{len(dataset.columns)} feature columns")
+    if is_numeric(dataset.columns[feature]) != numeric:
+        kind = "numeric" if numeric else "categorical"
+        raise ValueError(f"model splits column {feature} as {kind}, but it "
+                         f"is not {kind} in the data")
     return Split(feature, threshold, numeric,
-                 tree_from_dict(d["left"]), tree_from_dict(d["right"]))
+                 tree_from_dict(d["left"], dataset),
+                 tree_from_dict(d["right"], dataset))
 
 
 class _Node:
@@ -182,7 +188,8 @@ def _split_gains(node, dataset, c):
             order = np.argsort(values, kind="stable")
             ordered = values[order]
             distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-            thresholds = (distinct[:-1] + distinct[1:]) / 2.0
+            # halves first: the sum of two large values overflows
+            thresholds = distinct[:-1] / 2 + distinct[1:] / 2
             n_left = np.searchsorted(ordered, thresholds, side="right")
             keep = (n_left > 0) & (n_left < n)
             left = np.cumsum(rows[order], axis=0)[n_left[keep] - 1]

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from driftboost import boosters as bst
 from driftboost import conditions as cnd
 from driftboost import potentials as pot
+from driftboost import weaklearners as wl
 from driftboost.core import (Dataset, ScoringFunction, TableClassifier,
                              exp_risk, indexed_dataset, plurality_predict,
-                             training_error)
+                             prediction_matrix, training_error)
 from driftboost.harness import random_dataset_space
 from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, TreeLearner,
@@ -110,44 +111,31 @@ class TestAdaBoostMM:
 
 
 class TestEdgeMinimal:
+    """The edge delta_t = (-C_t.1_h)/Z_{t-1} that adaboost_mm records."""
+
     def test_always_correct_is_one(self):
         d = indexed_dataset([1, 2, 1], 2)
-        f = np.zeros((3, 2))
-        y = d.labels - 1
-        e = np.exp(f - f[np.arange(3), y][:, None])
-        e[np.arange(3), y] = 0.0
-        C = e.copy()
-        C[np.arange(3), y] = -e.sum(axis=1)
-        assert bst.edge_minimal(C, d.labels, f, d.labels) == \
-            pytest.approx(1.0)
+        run = bst.adaboost_mm(d, 1, lambda ds, C: TableClassifier(d.labels))
+        assert run.rounds[0].edge == pytest.approx(1.0)
 
     def test_fixed_wrong_label(self):
         k, m = 4, 5
         d = indexed_dataset([1] * (m - 1) + [2], k)
-        f = np.zeros((m, k))
-        y = d.labels - 1
-        e = np.ones((m, k))
-        e[np.arange(m), y] = 0.0
-        C = e.copy()
-        C[np.arange(m), y] = -(k - 1)
         preds = np.where(d.labels == 3, 4, 3)  # always wrong
-        got = bst.edge_minimal(C, preds, f, d.labels)
-        assert got == pytest.approx(-1.0 / (k - 1))
+        run = bst.adaboost_mm(d, 1, lambda ds, C: TableClassifier(preds))
+        assert run.rounds[0].edge == pytest.approx(-1.0 / (k - 1))
 
     def test_range(self):
         rng = np.random.default_rng(0)
+        m, k = 6, 3
+
+        def random_table(ds, C):
+            return TableClassifier(rng.integers(1, k + 1, m))
+
         for _ in range(20):
-            m, k = 6, 3
             d = indexed_dataset(rng.integers(1, k + 1, m), k)
-            y = d.labels - 1
-            f = rng.normal(size=(m, k))
-            e = np.exp(f - f[np.arange(m), y][:, None])
-            e[np.arange(m), y] = 0.0
-            C = e.copy()
-            C[np.arange(m), y] = -e.sum(axis=1)
-            preds = rng.integers(1, k + 1, m)
-            got = bst.edge_minimal(C, preds, f, d.labels)
-            assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
+            for r in bst.adaboost_mm(d, 5, random_table).rounds:
+                assert -1.0 - 1e-9 <= r.edge <= 1.0 + 1e-9
 
 
 class TestDropFactor:
@@ -239,6 +227,20 @@ class TestRunEquivalence:
                                             rng.randrange(2, 7))
             ok, why = bst.check_run_equivalence(d, space, 40)
             assert ok, why
+
+    def test_one_prediction_matrix_per_call(self, monkeypatch):
+        # the learner and the mislabel transform each built their own
+        built = []
+
+        def counted(Hspace, dataset):
+            built.append(len(Hspace))
+            return prediction_matrix(Hspace, dataset)
+
+        monkeypatch.setattr(bst, "prediction_matrix", counted)
+        monkeypatch.setattr(wl, "prediction_matrix", counted)
+        d, space = random_dataset_space(random.Random(3), 9, 4, 6)
+        assert bst.check_run_equivalence(d, space, 20) == (True, "ok")
+        assert built == [6]
 
 
 @st.composite

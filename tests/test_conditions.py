@@ -133,8 +133,10 @@ class TestSolveGame:
             cnd.is_boostable([], d)
 
     def test_minimal_has_no_single_game(self, figure_one):
+        # the minimal condition is boostability: is_boostable, not a
+        # condition object
         d, space = figure_one
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown condition MINIMAL"):
             cnd.solve_game(space, cnd.make_condition("MINIMAL", 0.1, d), d)
 
 

@@ -302,9 +302,9 @@ class TestEvalByLabelName:
         assert d.k == 3 and meta["label_map"]["3"] == 3
         got = hz.eval_model(model, part)
         rows = [i for i, ln in enumerate(body) if not ln.endswith(",3")]
-        F = ScoringFunction(tuple((tree_from_dict(r["tree"]), r["alpha"])
-                                  for r in json.loads(model.read_text())
-                                  ["rounds"]))
+        rounds = json.loads(model.read_text())["rounds"]
+        F = ScoringFunction(tuple((tree_from_dict(r["tree"], full),
+                                   r["alpha"]) for r in rounds))
         f = F.score_table(full)[rows]
         assert got["m"] == len(keep)
         assert got["error"] == training_error(f, full.subset(rows))
@@ -552,17 +552,17 @@ class TestCli:
                                                  monkeypatch, capsys):
         data = tmp_path / "w.csv"
         window_csv(data, 11, 0.1)
-        real = hz.boosters.adaboost_mm
+        real = hz.boosters._step
 
-        def grows_z(*args, **kwargs):
-            run = real(*args, **kwargs)
-            first = run.rounds[0]
-            assert first.edge >= 0.0
-            assert first.alpha < hz.boosters.ALPHA_MAX
-            first.Z_after = 2.0 * first.Z_prev
-            return run
+        def doubled(delta, ratio=None):
+            # twice the step of a positive, unclamped edge overshoots the
+            # minimum of Z, which the booster must catch
+            alpha, clamped = real(delta, ratio)
+            assert delta >= 0.0 and not clamped
+            assert 2.0 * alpha < hz.boosters.ALPHA_MAX
+            return 2.0 * alpha, clamped
 
-        monkeypatch.setattr(hz.boosters, "adaboost_mm", grows_z)
+        monkeypatch.setattr(hz.boosters, "_step", doubled)
         rc = cli.main(["train", str(data), "--rounds", "3",
                        "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -611,6 +611,20 @@ class TestCliRejectsBadInput:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_unreached_leaf_label_checked_on_load(self, tmp_path, capsys):
+        # no row reaches the right leaf, so its label 3 (k = 2) used to
+        # go unchecked: error 0.5 and exit 0
+        tree = {"feature": 0, "threshold": 5.0, "numeric": True,
+                "left": {"leaf": 1}, "right": {"leaf": 3}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"k": 2, "label_map": {"a": 1, "b": 2},
+                                    "rounds": [{"alpha": 1.0,
+                                                "tree": tree}]}))
+        data = tmp_path / "d.csv"
+        write_lines(data, "x,label", ["0,a", "1,b"])
+        err = self.run(["eval", str(path), str(data)], capsys)
+        assert err == "error: tree leaf 3 is outside 1..2\n"
+
     def test_potentials_k_below_two(self, tmp_path, capsys):
         err = self.run(["potentials", "--k", "1", "--out", "-"], capsys)
         assert err.startswith("error: need k >= 2")
@@ -641,10 +655,10 @@ class TestCliRejectsBadInput:
         ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
             {"alpha": 1.0, "tree": {"leaf": 1}},
             {"alpha": 1.0, "tree": {"leaf": 3}}]},
-         "classifier 2 predicts a label outside 1..2"),
+         "tree leaf 3 is outside 1..2"),
         ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
             {"alpha": 1.0, "tree": {"leaf": 0}}]},
-         "classifier 1 predicts a label outside 1..2"),
+         "tree leaf 0 is outside 1..2"),
         ({"k": 2, "label_map": {"a": 1, "b": 2}, "rounds": [
             {"alpha": 1.0, "tree": {"feature": 0, "threshold": 0.5,
                                     "numeric": True, "left": {"leaf": 1},

@@ -100,7 +100,7 @@ def test_tree_predictions_match_row_walk(table, size, seed):
     rows = list(zip(*(parse_cells(cells) for cells in columns)))
     want = [walk(tree.to_dict(), row) for row in rows]
     assert tree.predict_all(d).tolist() == want
-    again = tree_from_dict(json.loads(json.dumps(tree.to_dict())))
+    again = tree_from_dict(json.loads(json.dumps(tree.to_dict())), d)
     assert again.predict_all(d).tolist() == want
 
 

@@ -155,8 +155,21 @@ class TestGreedyTree:
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = greedy_tree(d, C, 3)
-        h2 = tree_from_dict(h.to_dict())
+        h2 = tree_from_dict(h.to_dict(), d)
         assert h2.predict_all(d).tolist() == h.predict_all(d).tolist()
+
+    def test_midpoint_of_values_near_the_float_maximum(self):
+        # (a + b) / 2 overflowed to inf for such a pair, the candidate
+        # was dropped and the separable column gave a single leaf
+        C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        big = greedy_tree(numeric_dataset([1.7e308, 1.7e308, 1.79e308,
+                                           1.79e308], [1, 1, 2, 2], 2), C, 3)
+        small = greedy_tree(numeric_dataset([1, 1, 2, 2], [1, 1, 2, 2], 2),
+                            C, 3)
+        assert 1.7e308 < big.threshold < 1.79e308
+        assert ({**big.to_dict(), "threshold": 1.5} == small.to_dict()
+                == {"feature": 0, "threshold": 1.5, "numeric": True,
+                    "left": {"leaf": 1}, "right": {"leaf": 2}})
 
 
 class TestStump:
@@ -233,7 +246,7 @@ def reference_greedy_tree(dataset, C, max_size):
                 if len(distinct) < 2:
                     continue
                 numeric = is_numeric(column)
-                candidates = ((distinct[:-1] + distinct[1:]) / 2.0
+                candidates = (distinct[:-1] / 2 + distinct[1:] / 2
                               if numeric else distinct)
                 for thr in candidates.tolist():
                     left = values <= thr if numeric else values == thr
@@ -320,7 +333,7 @@ class TestSplitSearchMatchesFullScan:
         # `values <= thr` puts both adjacent values left, so that column
         # has no proper split and the tree splits the other column
         upper = np.nextafter(ADJACENT, np.inf)
-        assert (ADJACENT + upper) / 2 == upper
+        assert ADJACENT / 2 + upper / 2 == upper
         d = Dataset((np.array([ADJACENT, upper] * 3),
                      np.arange(6.0)), [1, 2, 1, 2, 1, 2], 2)
         C = np.array([[0.0, 1.0], [1.0, 0.0]] * 3)

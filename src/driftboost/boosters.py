@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Baseline, prediction_matrix, training_error,
-                   true_label_first, wrong_labels)
-from .potentials import EXP, potential_fixed
+from .core import (prediction_matrix, training_error, true_label_first,
+                   wrong_labels)
+from .potentials import EXP, check_eor_rows, potential_fixed
 from .weaklearners import BestResponseLearner
 
 ALPHA_MAX = 20.0
@@ -137,13 +137,16 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
 
     Potentials index coordinate 1 = true label, so each row's baseline
     and states are reordered true-label-first; potential_fixed evaluates
-    each round's m*k child states as one batch."""
-    if not isinstance(baseline, Baseline) or baseline.kind not in ("EOR", "U"):
-        raise ValueError("OS booster needs an edge-over-random baseline")
+    each round's m*k child states as one batch. Every row must lie in
+    Delta_gamma^k for the first row's gamma."""
     m, k = dataset.m, dataset.k
     rows = np.arange(m)[:, None]
     order = true_label_first(dataset.labels, k) - 1
     b = baseline.entries[rows, order]
+    gamma = float(b[0, 0] - b[0, 1:].max())
+    # outside [0, 1), row 0 is in no Delta_gamma^k: checking at gamma = 0
+    # names it, and still passes a rounding hair below 0
+    check_eor_rows(b, gamma if 0.0 <= gamma < 1.0 else 0.0)
     alpha = loss.eta if loss.kind == EXP else 1.0
     s = np.zeros((m, k), dtype=int)
     rounds = []

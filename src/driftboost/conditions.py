@@ -1,9 +1,9 @@
 """Weak-learning conditions as (cost-family, baseline) pairs.
 
-Includes one table of the fixed baselines (SAMME, M1, MH, MR), the
-zero-sum game solver certifying satisfaction/violation on finite
-classifier spaces, a boostability (linear separation) check, and the
-counterexample fixtures.
+Includes the fixed baselines (SAMME's U_gamma from potentials, one table
+for M1, MH and MR), the zero-sum game solver certifying satisfaction or
+violation on finite classifier spaces, and a boostability (linear
+separation) check; the one module that loads the LP solver.
 
 The game solved is  min_lambda max_C  C . (H_lambda - B)  with cost rows
 restricted to the family cone, l1-normalized to <= 1. Each family cone
@@ -28,43 +28,25 @@ builder and solver (_solve_lp); they differ only in their cost rows and
 slacks.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import (Baseline, CostMatrix, TableClassifier, indexed_dataset,
-                   prediction_matrix, true_label_first, wrong_labels)
-from .potentials import check_eor_rows, check_gamma
+from .core import (Baseline, CostMatrix, prediction_matrix, true_label_first,
+                   wrong_labels)
+from .potentials import check_eor_rows, check_gamma, uniform_baseline
 
 
 # ---------------------------------------------------------------- baselines
 
-# condition -> (cost family, baseline kind, wrong-label entry, true-label
-# entry); entries are functions of (gamma, k)
+# condition (also its cost family) -> gamma -> (wrong-label entry,
+# true-label entry)
 _BASELINES = {
-    "SAMME": ("SAM", "U", lambda g, k: (1.0 - g) / k,
-              lambda g, k: (1.0 - g) / k + g),
-    "M1": ("M1", "M1", lambda g, k: 0.0, lambda g, k: g),
-    "MH": ("MH", "MH", lambda g, k: 0.5 - g / 2.0, lambda g, k: 0.5 + g / 2.0),
-    "MR": ("MR", "MR", lambda g, k: -g / 2.0, lambda g, k: g / 2.0),
+    "M1": lambda g: (0.0, g),
+    "MH": lambda g: (0.5 - g / 2.0, 0.5 + g / 2.0),
+    "MR": lambda g: (-g / 2.0, g / 2.0),
 }
-
-
-def _baseline(name, dataset, gamma):
-    check_gamma(gamma)
-    _, kind, wrong, true = _BASELINES[name]
-    m, k = dataset.m, dataset.k
-    entries = np.full((m, k), wrong(gamma, k))
-    entries[np.arange(m), dataset.labels - 1] = true(gamma, k)
-    return Baseline(entries, kind)
-
-
-def uniform_baseline(dataset, gamma):
-    """U_gamma: (1-gamma)/k everywhere plus gamma on the true label."""
-    return _baseline("SAMME", dataset, gamma)
 
 
 def eor_baseline(dataset, rows, gamma):
@@ -72,7 +54,7 @@ def eor_baseline(dataset, rows, gamma):
     entries = np.asarray(rows, dtype=float)
     order = true_label_first(dataset.labels, dataset.k) - 1
     check_eor_rows(entries[np.arange(dataset.m)[:, None], order], gamma)
-    return Baseline(entries, "EOR")
+    return Baseline(entries)
 
 
 @dataclass(frozen=True)
@@ -83,12 +65,17 @@ class Condition:
 
 def make_condition(name, gamma, dataset, baseline=None):
     if name in _BASELINES:
-        return Condition(_BASELINES[name][0], _baseline(name, dataset, gamma))
+        check_gamma(gamma)
+        wrong, true = _BASELINES[name](gamma)
+        entries = np.full((dataset.m, dataset.k), wrong)
+        entries[np.arange(dataset.m), dataset.labels - 1] = true
+        return Condition(name, Baseline(entries))
+    if name == "SAMME":
+        return Condition("SAM", uniform_baseline(dataset, gamma))
     if name == "EOR-fixed":
-        if baseline is None:
-            return Condition("EOR", uniform_baseline(dataset, gamma))
-        eor_baseline(dataset, baseline.entries, gamma)  # checks the rows
-        return Condition("EOR", baseline)
+        return Condition("EOR", uniform_baseline(dataset, gamma)
+                         if baseline is None
+                         else eor_baseline(dataset, baseline.entries, gamma))
     raise ValueError(f"unknown condition {name}")
 
 
@@ -232,57 +219,3 @@ def is_boostable(Hspace, dataset, tol=1e-7):
     return BoostabilityReport(verdict, margin, lam, CostMatrix(cert, "MR"),
                               gap)
 
-
-# ---------------------------------------------------------------- fixtures
-
-def figure_one_fixture():
-    """Two examples, three classes, h1 always 1, h2 always 2."""
-    dataset = indexed_dataset([1, 2], 3)
-    h1 = TableClassifier([1, 1])
-    h2 = TableClassifier([2, 2])
-    return dataset, [h1, h2]
-
-
-def window_fixture(m, gamma_prime):
-    """m examples / m classifiers over k = 3 classes, for the uniform
-    baseline with gamma = k * gamma_prime; classifier j is correct exactly
-    on the wrap-around window of length floor(m(1/2+gamma_prime))
-    starting at j, and predicts yhat_i = the lowest wrong label (the
-    argmin wrong-label baseline entry) elsewhere.
-
-    Returns (dataset, Hspace, cost matrix charging 1 for predicting yhat)."""
-    k = 3
-    if m <= 1.0 / gamma_prime:
-        raise ValueError("need m > 1/gamma_prime")
-    if k * gamma_prime >= 1.0:
-        raise ValueError("k * gamma_prime must stay below 1")
-    labels = np.arange(m) % k + 1
-    dataset = indexed_dataset(labels, k)
-    yhat = wrong_labels(dataset.labels, k)[:, 0]
-    w = int(math.floor(m * (0.5 + gamma_prime)))
-    # P[j, i]: the true label for i = j, ..., j + w - 1 (mod m), else yhat
-    window = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m < w
-    space = [TableClassifier(p) for p in np.where(window, labels, yhat)]
-    cost = np.zeros((m, k))
-    cost[np.arange(m), yhat - 1] = 1.0
-    return dataset, space, CostMatrix(cost, "EOR")
-
-
-def mh_overdemand_fixture(k, gamma, m):
-    """One classifier per (1/k+gamma)m-element subset, correct exactly
-    there; wrong predictions rotate through the k-1 wrong labels so the
-    uniform mixture spreads wrong mass evenly."""
-    size = (1.0 / k + gamma) * m
-    n = round(size)
-    if abs(size - n) > 1e-9 or not 1 <= n <= m:
-        raise ValueError("(1/k + gamma) m must be a positive integer <= m")
-    labels = np.arange(m) % k + 1
-    dataset = indexed_dataset(labels, k)
-    subsets = np.array(list(itertools.combinations(range(m), n)))
-    chosen = np.zeros((len(subsets), m), dtype=bool)
-    chosen[np.arange(len(subsets))[:, None], subsets] = True
-    # a wrong prediction of example i takes the wrong label after y_i
-    # rotated by the number of earlier classifiers wrong on i
-    offset = (np.cumsum(~chosen, axis=0) - 1) % (k - 1)
-    P = np.where(chosen, labels, (labels + offset) % k + 1)
-    return dataset, [TableClassifier(p) for p in P]

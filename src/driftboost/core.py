@@ -199,5 +199,4 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Baseline:
-    entries: np.ndarray
-    kind: str       # EOR, U, M1, MH, MR
+    entries: np.ndarray  # (m, k), column l-1 for label l

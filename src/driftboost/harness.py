@@ -5,15 +5,18 @@ digit floats, so identical seeds give byte-identical files.
 """
 
 import csv
+import itertools
 import json
+import math
 import os
 import random
 
 import numpy as np
 
-from . import boosters, conditions, potentials, weaklearners
-from .core import (Dataset, ScoringFunction, TableClassifier, exp_risk,
-                   indexed_dataset, is_finite, is_numeric, training_error)
+from . import boosters, potentials, weaklearners
+from .core import (CostMatrix, Dataset, ScoringFunction, TableClassifier,
+                   exp_risk, indexed_dataset, is_finite, is_numeric,
+                   training_error, wrong_labels)
 from .potentials import EXP, ZERO_ONE, LossSpec
 
 
@@ -125,7 +128,7 @@ def run_experiment(cfg):
         rule = "APPROX" if algo == "mm-approx" else "EXACT"
         run = boosters.adaboost_mm(train, T, learner, rule)
     elif algo == "os":
-        baseline = conditions.uniform_baseline(train, cfg.get("gamma", 0.0))
+        baseline = potentials.uniform_baseline(train, cfg.get("gamma", 0.0))
         run = boosters.os_boost_fixed(train, baseline, loss, T, learner)
     else:
         raise ValueError(f"unknown algo {algo}")
@@ -207,6 +210,8 @@ def eval_model(model_path, data_path, label_column=None):
 def emit_potential_table(k, gamma, T_max, loss, include_minimal=False):
     """TSV rows (T, phi^b_T(0)) for b = gamma-biased uniform, optionally
     plus the minimal-condition column."""
+    if T_max < 0:
+        raise ValueError("need rounds >= 0")
     b = potentials.gamma_biased_uniform(k, gamma)
     zero = np.zeros(k, dtype=int)
     table = (potentials.MinimalPotential(gamma, loss, k)
@@ -224,12 +229,67 @@ def emit_potential_table(k, gamma, T_max, loss, include_minimal=False):
 
 
 def emit_degree_map(gamma, loss, T):
+    if T < 0:
+        raise ValueError("need rounds >= 0")
     rows = potentials.degree_map(gamma, loss, T)
     lines = [f"# degree_map gamma={fmt(gamma)} loss={loss.kind} "
              f"eta={fmt(getattr(loss, 'eta', 0.0))} T={T}",
              "u\tv\tt\tdegree"]
     lines += [f"{u}\t{v}\t{t}\t{a}" for (u, v, t, a) in rows]
     return "\n".join(lines) + "\n"
+
+
+def figure_one_fixture():
+    """Two examples, three classes, h1 always 1, h2 always 2."""
+    dataset = indexed_dataset([1, 2], 3)
+    h1 = TableClassifier([1, 1])
+    h2 = TableClassifier([2, 2])
+    return dataset, [h1, h2]
+
+
+def window_fixture(m, gamma_prime):
+    """m examples / m classifiers over k = 3 classes, for the uniform
+    baseline with gamma = k * gamma_prime; classifier j is correct exactly
+    on the wrap-around window of length floor(m(1/2+gamma_prime))
+    starting at j, and predicts yhat_i = the lowest wrong label (the
+    argmin wrong-label baseline entry) elsewhere.
+
+    Returns (dataset, Hspace, cost matrix charging 1 for predicting yhat)."""
+    k = 3
+    if m <= 1.0 / gamma_prime:
+        raise ValueError("need m > 1/gamma_prime")
+    if k * gamma_prime >= 1.0:
+        raise ValueError("k * gamma_prime must stay below 1")
+    labels = np.arange(m) % k + 1
+    dataset = indexed_dataset(labels, k)
+    yhat = wrong_labels(dataset.labels, k)[:, 0]
+    w = int(math.floor(m * (0.5 + gamma_prime)))
+    # P[j, i]: the true label for i = j, ..., j + w - 1 (mod m), else yhat
+    window = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m < w
+    space = [TableClassifier(p) for p in np.where(window, labels, yhat)]
+    cost = np.zeros((m, k))
+    cost[np.arange(m), yhat - 1] = 1.0
+    return dataset, space, CostMatrix(cost, "EOR")
+
+
+def mh_overdemand_fixture(k, gamma, m):
+    """One classifier per (1/k+gamma)m-element subset, correct exactly
+    there; wrong predictions rotate through the k-1 wrong labels so the
+    uniform mixture spreads wrong mass evenly."""
+    size = (1.0 / k + gamma) * m
+    n = round(size)
+    if abs(size - n) > 1e-9 or not 1 <= n <= m:
+        raise ValueError("(1/k + gamma) m must be a positive integer <= m")
+    labels = np.arange(m) % k + 1
+    dataset = indexed_dataset(labels, k)
+    subsets = np.array(list(itertools.combinations(range(m), n)))
+    chosen = np.zeros((len(subsets), m), dtype=bool)
+    chosen[np.arange(len(subsets))[:, None], subsets] = True
+    # a wrong prediction of example i takes the wrong label after y_i
+    # rotated by the number of earlier classifiers wrong on i
+    offset = (np.cumsum(~chosen, axis=0) - 1) % (k - 1)
+    P = np.where(chosen, labels, (labels + offset) % k + 1)
+    return dataset, [TableClassifier(p) for p in P]
 
 
 def random_dataset_space(rng, m, k, n):
@@ -244,6 +304,8 @@ def random_dataset_space(rng, m, k, n):
 def equivalence_check(trials, rounds, seed):
     """Run-equivalence over random small instances; returns (passed,
     total, details)."""
+    if trials < 1 or rounds < 0:
+        raise ValueError("need trials >= 1 and rounds >= 0")
     rng = random.Random(seed)
     details = []
     passed = 0
@@ -278,10 +340,10 @@ def write_fixture_files(outdir):
                 for row in cost.entries:
                     fh.write("\t".join(fmt(v) for v in row) + "\n")
 
-    d1, s1 = conditions.figure_one_fixture()
+    d1, s1 = figure_one_fixture()
     dump("figure_one", d1, s1)
-    d2, s2, c2 = conditions.window_fixture(11, 0.1)
+    d2, s2, c2 = window_fixture(11, 0.1)
     dump("window_m11", d2, s2, c2)
-    d3, s3 = conditions.mh_overdemand_fixture(3, 0.0, 3)
+    d3, s3 = mh_overdemand_fixture(3, 0.0, 3)
     dump("mh_overdemand", d3, s3)
     return sorted(os.listdir(outdir))

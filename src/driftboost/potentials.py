@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Baseline
+
 ZERO_ONE = "ZERO_ONE"
 EXP = "EXP"
 
@@ -48,7 +50,8 @@ def check_eor_rows(rows, gamma):
     with b(1) - gamma = the largest other entry."""
     check_gamma(gamma)
     rows = np.asarray(rows, dtype=float)
-    off = (rows.min(axis=1) < -1e-12) | (np.abs(rows.sum(axis=1) - 1.0) > 1e-9)
+    # a negated pass on the sum, so that a row holding NaN is off
+    off = (rows.min(axis=1) < -1e-12) | ~(abs(rows.sum(axis=1) - 1.0) <= 1e-9)
     bad = off | (np.abs((rows[:, 0] - gamma) - rows[:, 1:].max(axis=1)) > 1e-9)
     if bad.any():
         i = int(np.argmax(bad))
@@ -72,6 +75,15 @@ def gamma_biased_uniform(k, gamma):
         raise ValueError("need k >= 2")
     base = (1.0 - gamma) / k
     return EorDistribution((base + gamma,) + (base,) * (k - 1), gamma)
+
+
+def uniform_baseline(dataset, gamma):
+    """U_gamma: gamma_biased_uniform's row, its first entry on each
+    example's own label."""
+    b = gamma_biased_uniform(dataset.k, gamma).b
+    entries = np.full((dataset.m, dataset.k), b[1])
+    entries[np.arange(dataset.m), dataset.labels - 1] = b[0]
+    return Baseline(entries)
 
 
 def kappa(gamma, eta, k):

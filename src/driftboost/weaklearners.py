@@ -1,6 +1,6 @@
 """Weak learners the boosters query. Each answers the booster's (m, k)
 cost array: exhaustive best response over a finite space, and greedy
-size-capped trees and stumps that minimize summed cost."""
+size-capped trees (a stump has size 3) that minimize summed cost."""
 
 import numpy as np
 
@@ -279,11 +279,6 @@ def greedy_tree(dataset, C, max_size):
         leaf.candidates = None
         size += 2
     return root.freeze()
-
-
-def stump(dataset, C):
-    """The cost-minimizing stump: greedy_tree with max_size = 3."""
-    return greedy_tree(dataset, C, 3)
 
 
 class TreeLearner:

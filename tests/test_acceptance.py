@@ -128,7 +128,7 @@ def test_criterion_05_drop_factor_law():
     # every round of actual booster runs, both update rules
     runs = []
     for m, gp in ((11, 0.1), (21, 0.2)):
-        d, space, _ = cnd.window_fixture(m, gp)
+        d, space, _ = hz.window_fixture(m, gp)
         for rule in ("APPROX", "EXACT"):
             runs.append((rule, bst.adaboost_mm(
                 d, 60, BestResponseLearner(space), rule)))
@@ -157,7 +157,7 @@ def test_criterion_05_drop_factor_law():
 def test_criterion_06_window_error_decay():
     for m in (11, 21):
         for gp in (0.1, 0.2):
-            d, space, _ = cnd.window_fixture(m, gp)
+            d, space, _ = hz.window_fixture(m, gp)
             run = bst.adaboost_mm(d, 200, BestResponseLearner(space),
                                   "APPROX")
             f = np.zeros((d.m, d.k))
@@ -173,14 +173,14 @@ def test_criterion_06_window_error_decay():
 
 
 def test_criterion_07_samme_dichotomy():
-    d, space = cnd.figure_one_fixture()
+    d, space = hz.figure_one_fixture()
     gamma = (1 - 1 / d.k) * 0.05
     rep = cnd.solve_game(space, cnd.make_condition("SAMME", gamma, d), d)
     assert rep.satisfied and rep.value <= rep.gap + 1e-9
     boost = cnd.is_boostable(space, d)
     assert boost.verdict == "no"
     C = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
-    B = cnd.uniform_baseline(d, 0.1)
+    B = pot.uniform_baseline(d, 0.1)
     for h in space:  # C.B - C.1_h < 0: every h violates the constraint
         preds = h.predict_all(d)
         assert (C * B.entries).sum() - C[np.arange(d.m), preds - 1].sum() < 0
@@ -244,7 +244,7 @@ def test_criterion_09_condition_equivalence_games():
 
 def test_criterion_10_risk_convergence_trend():
     for m, gp in ((11, 0.1), (21, 0.2)):
-        d, space, _ = cnd.window_fixture(m, gp)
+        d, space, _ = hz.window_fixture(m, gp)
         vals = []
         for T in (10, 50, 100, 500):
             run = bst.adaboost_mm(d, T, BestResponseLearner(space), "APPROX")

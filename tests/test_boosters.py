@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from driftboost import boosters as bst
 from driftboost import conditions as cnd
+from driftboost import harness as hz
 from driftboost import potentials as pot
 from driftboost import weaklearners as wl
-from driftboost.core import (Dataset, ScoringFunction, TableClassifier,
-                             exp_risk, indexed_dataset, plurality_predict,
+from driftboost.core import (Baseline, Dataset, ScoringFunction,
+                             TableClassifier, exp_risk, indexed_dataset, plurality_predict,
                              prediction_matrix, training_error)
 from driftboost.harness import random_dataset_space
 from driftboost.weaklearners import (BestResponseLearner,
@@ -61,7 +62,7 @@ class TestAdaBoostMM:
             assert run.rounds[0].alpha == bst.ALPHA_MAX
 
     def test_exact_rule_equals_half_log_ratio(self):
-        d, space, _ = cnd.window_fixture(11, 0.1)
+        d, space, _ = hz.window_fixture(11, 0.1)
         run = bst.adaboost_mm(d, 40, BestResponseLearner(space), "EXACT")
         for r in run.rounds:
             if r.edge > 0 and r.A_minus > 0:
@@ -84,7 +85,7 @@ class TestAdaBoostMM:
     def test_cumulative_error_bound(self):
         # Z_t never grows, so every weight exp(f_il - f_iy) stays below
         # Z_0 = m(k - 1): the margins stay far from the exponent clamp
-        d, space, _ = cnd.window_fixture(21, 0.2)
+        d, space, _ = hz.window_fixture(21, 0.2)
         for rule in ("APPROX", "EXACT"):
             run = bst.adaboost_mm(d, 100, BestResponseLearner(space), rule)
             f = np.zeros((d.m, d.k))
@@ -98,7 +99,7 @@ class TestAdaBoostMM:
                 assert margins.max() <= math.log(d.m * (d.k - 1)) + 1e-9
 
     def test_monotone_exp_risk(self):
-        d, space, _ = cnd.window_fixture(11, 0.1)
+        d, space, _ = hz.window_fixture(11, 0.1)
         run = bst.adaboost_mm(d, 50, BestResponseLearner(space), "APPROX")
         f = np.zeros((d.m, d.k))
         prev = exp_risk(f, d)
@@ -347,8 +348,8 @@ class TestOsBooster:
     def test_cost_matrices_match_per_row_potentials(self, monkeypatch,
                                                     baseline, loss):
         m, gp = 11, 0.15
-        d, space, _ = cnd.window_fixture(m, gp)
-        B = {"uniform": lambda: cnd.uniform_baseline(d, 0.1),
+        d, space, _ = hz.window_fixture(m, gp)
+        B = {"uniform": lambda: pot.uniform_baseline(d, 0.1),
              "window": lambda: window_eor_baseline(d, m, gp),
              "random": lambda: random_eor_baseline(
                  d, 0.1, np.random.default_rng(5))}[baseline]()
@@ -358,20 +359,20 @@ class TestOsBooster:
                              ids=["zeroone", "exp"])
     def test_one_row_run(self, monkeypatch, loss):
         d = indexed_dataset([2], 3)
-        B = cnd.uniform_baseline(d, 0.2)
+        B = pot.uniform_baseline(d, 0.2)
         run = check_os_run(monkeypatch, d, B, loss, 4,
                            FullSpaceBestResponse())
         assert training_error(run.f, d) == 0.0
 
     def test_zero_rounds_trivial_error(self):
         d = indexed_dataset([1, 2, 3], 3)
-        B = cnd.uniform_baseline(d, 0.0)
+        B = pot.uniform_baseline(d, 0.0)
         run = bst.os_boost_fixed(d, B, ZO, 0, FullSpaceBestResponse())
         assert training_error(run.f, d) == 1.0
 
     def test_zeroone_window_run(self):
         m, gp = 11, 0.15
-        d, space, _ = cnd.window_fixture(m, gp)
+        d, space, _ = hz.window_fixture(m, gp)
         B = window_eor_baseline(d, m, gp)
         run = bst.os_boost_fixed(d, B, ZO, 10, BestResponseLearner(space))
         assert run.extra["condition_satisfied"]
@@ -383,7 +384,7 @@ class TestOsBooster:
 
     def test_full_space_k6_bound(self):
         d = indexed_dataset([(i % 6) + 1 for i in range(12)], 6)
-        B = cnd.uniform_baseline(d, 0.0)
+        B = pot.uniform_baseline(d, 0.0)
         run = bst.os_boost_fixed(d, B, ZO, 10, FullSpaceBestResponse())
         assert run.extra["initial_potential"] == pytest.approx(
             0.8848833106297312, abs=1e-10)
@@ -395,7 +396,7 @@ class TestOsBooster:
         eta = math.log(1 + gamma)
         m, k, T = 9, 3, 12
         d = indexed_dataset([(i % k) + 1 for i in range(m)], k)
-        B = cnd.uniform_baseline(d, gamma)
+        B = pot.uniform_baseline(d, gamma)
         run = bst.os_boost_fixed(d, B, pot.LossSpec(pot.EXP, eta), T,
                                  FullSpaceBestResponse())
         assert run.extra["condition_satisfied"]
@@ -404,13 +405,46 @@ class TestOsBooster:
 
     def test_violating_learner_recorded_not_asserted(self):
         d = indexed_dataset([1, 2], 2)
-        B = cnd.uniform_baseline(d, 0.5)
+        B = pot.uniform_baseline(d, 0.5)
 
         def worst(dataset, C):
             return TableClassifier(np.argmax(C, axis=1) + 1)
 
         run = bst.os_boost_fixed(d, B, ZO, 3, worst)
         assert not run.extra["condition_satisfied"]
+
+    # the booster used to read a kind tag, not the rows: rows [2, -1] ran
+    # with initial potential NaN, and [0.3, 0.3] ran as well
+    @pytest.mark.parametrize("rows, why", [
+        ([[2.0, -1.0], [0.5, 0.5]], "row 0 is not a probability vector"),
+        ([[0.3, 0.3], [0.3, 0.3]], "row 0 is not a probability vector"),
+        ([[0.3, 0.7], [0.5, 0.5]], "row 0 violates"),
+        ([[0.6, 0.4], [np.nan, 0.5]], "row 1 is not a probability vector"),
+        ([[0.6, 0.4], [0.7, 0.3]], "row 1 violates")])
+    def test_rows_outside_eor_rejected(self, rows, why):
+        d = indexed_dataset([1, 1], 2)
+        with pytest.raises(ValueError, match=f"^{why}"):
+            bst.os_boost_fixed(d, Baseline(np.array(rows)), ZO, 2,
+                               FullSpaceBestResponse())
+
+    @pytest.mark.parametrize("name", ["M1", "MH", "MR"])
+    def test_other_condition_baselines_rejected(self, name):
+        d = indexed_dataset([1, 2, 3], 3)
+        B = cnd.make_condition(name, 0.1, d).baseline
+        with pytest.raises(ValueError, match="^row 0 is not a probability"):
+            bst.os_boost_fixed(d, B, ZO, 2, FullSpaceBestResponse())
+
+    def test_rows_decide_not_the_condition(self):
+        # for k = 2 the MH baseline is U_gamma up to rounding: it runs
+        d = indexed_dataset([1, 2, 2], 2)
+        mh = cnd.make_condition("MH", 0.2, d).baseline
+        u = pot.uniform_baseline(d, 0.2)
+        assert np.allclose(mh.entries, u.entries, rtol=0, atol=1e-15)
+        runs = [bst.os_boost_fixed(d, B, ZO, 3, FullSpaceBestResponse())
+                for B in (mh, u)]
+        assert np.array_equal(runs[0].f, runs[1].f)
+        assert runs[0].extra["initial_potential"] == pytest.approx(
+            runs[1].extra["initial_potential"], rel=0, abs=1e-12)
 
 
 def summed_table(run, d):
@@ -426,7 +460,7 @@ class TestRunScores:
     @pytest.mark.parametrize("rule", ["APPROX", "EXACT"])
     def test_mm_scores_are_the_summed_table(self, rule):
         rng = random.Random(12)
-        cases = [cnd.window_fixture(21, 0.2)[:2]] + [
+        cases = [hz.window_fixture(21, 0.2)[:2]] + [
             random_dataset_space(rng, rng.randrange(3, 12),
                                  rng.randrange(2, 5), rng.randrange(2, 7))
             for _ in range(6)]
@@ -450,7 +484,7 @@ class TestRunScores:
                 m, k = int(rng.integers(5, 30)), int(rng.integers(2, 5))
                 d = Dataset((rng.integers(0, 6, m), rng.normal(size=m)),
                             rng.integers(1, k + 1, m), k)
-                B = cnd.uniform_baseline(d, 0.1)
+                B = pot.uniform_baseline(d, 0.1)
                 run = bst.os_boost_fixed(d, B, loss, 6, learner)
                 summed = summed_table(run, d)
                 assert training_error(run.f, d) == training_error(summed, d)

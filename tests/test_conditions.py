@@ -8,6 +8,8 @@ import scipy.optimize
 from scipy.optimize import linprog
 
 from driftboost import conditions as cnd
+from driftboost import harness as hz
+from driftboost import potentials as pot
 from driftboost.core import (Baseline, CostMatrix, TableClassifier,
                              indexed_dataset)
 from driftboost.harness import random_dataset_space
@@ -15,7 +17,7 @@ from driftboost.harness import random_dataset_space
 
 @pytest.fixture
 def figure_one():
-    return cnd.figure_one_fixture()
+    return hz.figure_one_fixture()
 
 
 def edge(C, h, B, dataset):
@@ -45,13 +47,13 @@ class TestMakeCondition:
 
     def test_eor_fixed_row_accepted(self):
         d = indexed_dataset([1], 3)
-        b = cnd.Baseline(np.array([[0.4667, 0.2667, 0.2666]]), "EOR")
+        b = Baseline(np.array([[0.4667, 0.2667, 0.2666]]))
         c = cnd.make_condition("EOR-fixed", 0.2, d, b)
         assert c.family == "EOR"
 
     def test_eor_fixed_bad_row_rejected(self):
         d = indexed_dataset([1], 3)
-        b = cnd.Baseline(np.array([[0.6, 0.3, 0.1]]), "EOR")
+        b = Baseline(np.array([[0.6, 0.3, 0.1]]))
         with pytest.raises(ValueError):
             cnd.make_condition("EOR-fixed", 0.2, d, b)
 
@@ -76,13 +78,13 @@ class TestEdge:
     def test_figure_one_matrix(self, figure_one):
         d, space = figure_one
         C = CostMatrix(np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]), "EOR")
-        B = cnd.uniform_baseline(d, 0.1)
+        B = pot.uniform_baseline(d, 0.1)
         assert edge(C, space[0], B, d) == pytest.approx(-0.2)
         assert edge(C, space[1], B, d) == pytest.approx(-0.2)
 
     def test_zero_cost_matrix(self, figure_one):
         d, space = figure_one
-        B = cnd.uniform_baseline(d, 0.3)
+        B = pot.uniform_baseline(d, 0.3)
         for h in space:
             assert edge(np.zeros((2, 3)), h, B, d) == 0.0
 
@@ -152,7 +154,7 @@ class TestIsBoostable:
             assert c[np.arange(d.m), preds - 1].sum() >= -1e-9
 
     def test_window_boostable_with_verified_margin(self):
-        d, space, _ = cnd.window_fixture(11, 0.1)
+        d, space, _ = hz.window_fixture(11, 0.1)
         rep = cnd.is_boostable(space, d)
         assert rep.verdict == "yes"
         inds = [h.predict_all(d) for h in space]
@@ -174,7 +176,7 @@ class TestIsBoostable:
 
 class TestWindowFixture:
     def test_window_length_and_coverage(self):
-        d, space, cost = cnd.window_fixture(5, 0.3)
+        d, space, cost = hz.window_fixture(5, 0.3)
         w = math.floor(5 * 0.8)
         assert w == 4
         correct = np.zeros(5, dtype=int)
@@ -187,7 +189,7 @@ class TestWindowFixture:
 
     def test_per_classifier_cost(self):
         for m, gp in ((5, 0.3), (11, 0.1), (21, 0.2)):
-            d, space, cost = cnd.window_fixture(m, gp)
+            d, space, cost = hz.window_fixture(m, gp)
             want = math.ceil(m * (0.5 - gp))
             for h in space:
                 preds = h.predict_all(d)
@@ -195,24 +197,24 @@ class TestWindowFixture:
                 assert got == pytest.approx(want)
 
     def test_cost_matrix_family(self):
-        d, _, cost = cnd.window_fixture(7, 0.2)
+        d, _, cost = hz.window_fixture(7, 0.2)
         assert cost.validate(d.labels)
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
-            cnd.window_fixture(9, 0.1)
+            hz.window_fixture(9, 0.1)
 
 
 class TestMhOverdemandFixture:
     def test_three_singletons(self):
-        d, space = cnd.mh_overdemand_fixture(3, 0.0, 3)
+        d, space = hz.mh_overdemand_fixture(3, 0.0, 3)
         assert len(space) == 3
         for h in space:
             assert int((h.predict_all(d) == d.labels).sum()) == 1
 
     def test_mh_violation_value(self):
         k = 3
-        d, space = cnd.mh_overdemand_fixture(k, 0.0, 3)
+        d, space = hz.mh_overdemand_fixture(k, 0.0, 3)
         B = cnd.make_condition("MH", 0.0, d).baseline
         C = np.zeros((d.m, k))
         C[np.arange(d.m), d.labels - 1] = -1.0
@@ -221,7 +223,7 @@ class TestMhOverdemandFixture:
             assert edge(C, h, B, d) / d.m == pytest.approx(-(0.5 - 1 / k))
 
     def test_k2_boundary_no_violation(self):
-        d, space = cnd.mh_overdemand_fixture(2, 0.0, 2)
+        d, space = hz.mh_overdemand_fixture(2, 0.0, 2)
         B = cnd.make_condition("MH", 0.0, d).baseline
         C = np.zeros((d.m, 2))
         C[np.arange(d.m), d.labels - 1] = -1.0
@@ -229,13 +231,13 @@ class TestMhOverdemandFixture:
             assert edge(C, h, B, d) == pytest.approx(0.0)
 
     def test_satisfies_eor_against_uniform(self):
-        d, space = cnd.mh_overdemand_fixture(3, 0.0, 3)
+        d, space = hz.mh_overdemand_fixture(3, 0.0, 3)
         rep = cnd.solve_game(space, cnd.make_condition("EOR-fixed", 0.0, d), d)
         assert rep.satisfied
 
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError):
-            cnd.mh_overdemand_fixture(3, 0.05, 4)
+            hz.mh_overdemand_fixture(3, 0.05, 4)
 
 
 def window_fixture_loops(m, gamma_prime):
@@ -281,7 +283,7 @@ class TestFixturesAgainstLoops:
         (11, 0.1), (12, 0.1), (30, 0.05), (7, 0.3), (100, 0.02),
         (50, 0.3), (21, 0.2), (40, 0.13), (9, 0.25), (16, 0.07)])
     def test_window_fixture(self, m, gamma_prime):
-        d, space, cost = cnd.window_fixture(m, gamma_prime)
+        d, space, cost = hz.window_fixture(m, gamma_prime)
         labels, preds, want = window_fixture_loops(m, gamma_prime)
         assert d.labels.tolist() == labels
         assert [h.predictions.tolist() for h in space] == preds
@@ -292,7 +294,7 @@ class TestFixturesAgainstLoops:
         (3, 1 / 3 - 1 / 9, 9), (4, 0.25, 4), (5, 0.0, 10), (2, 0.25, 4),
         (3, 0.0, 9), (4, 0.05, 20)])
     def test_mh_overdemand_fixture(self, k, gamma, m):
-        d, space = cnd.mh_overdemand_fixture(k, gamma, m)
+        d, space = hz.mh_overdemand_fixture(k, gamma, m)
         labels, preds = mh_overdemand_loops(k, gamma, m)
         assert d.labels.tolist() == labels
         assert [h.predictions.tolist() for h in space] == preds
@@ -457,8 +459,7 @@ class TestLpInputs:
         for m, k, n in self.CASES:
             d, space = random_dataset_space(rng, m, k, n)
             rows = random_eor_rows(nrng, d.labels, k, 0.1)
-            cond = cnd.make_condition("EOR-fixed", 0.1, d,
-                                      Baseline(rows, "EOR"))
+            cond = cnd.make_condition("EOR-fixed", 0.1, d, Baseline(rows))
             calls = capture_lps(monkeypatch)
             cnd.solve_game(space, cond, d)
             (got,) = calls
@@ -486,8 +487,7 @@ class TestEorRows:
             d, space = random_dataset_space(rng, m, k, n)
             baseline = None
             if trial % 2:
-                baseline = Baseline(random_eor_rows(nrng, d.labels, k, 0.1),
-                                    "EOR")
+                baseline = Baseline(random_eor_rows(nrng, d.labels, k, 0.1))
             cond = cnd.make_condition("EOR-fixed", 0.1, d, baseline)
             rep = cnd.solve_game(space, cond, d)
             lp = game_lp_per_row(space, d, "EOR-all", cond.baseline.entries)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from driftboost import cli
-from driftboost import conditions as cnd
 from driftboost import harness as hz
 from driftboost.core import (Dataset, ScoringFunction, WeakClassifier,
                              exp_risk, training_error)
@@ -27,7 +26,7 @@ def write_csv(path, rows, header="a,b,label"):
 
 
 def window_csv(path, m, gamma_prime):
-    d, _, _ = cnd.window_fixture(m, gamma_prime)
+    d, _, _ = hz.window_fixture(m, gamma_prime)
     with open(path, "w") as fh:
         fh.write("x,label\n")
         for x, y in zip(d.columns[0].tolist(), d.labels.tolist()):
@@ -598,6 +597,20 @@ class TestCliRejectsBadInput:
         argv = [a.format(data=data) for a in argv]
         err = self.run(argv + ["--out", str(tmp_path / "out")], capsys)
         assert err.startswith("error: need 0 <= gamma < 1")
+
+    # each printed an empty table or map, or passed vacuously ("passed
+    # 0/-1"), and exited 0
+    @pytest.mark.parametrize("argv, message", [
+        (["potentials", "--rounds", "-3", "--out", "-"], "need rounds >= 0"),
+        (["degree-map", "--rounds", "-2", "--out", "-"], "need rounds >= 0"),
+        (["equivalence-check", "--trials", "-1"], "need trials >= 1"),
+        (["equivalence-check", "--trials", "0"], "need trials >= 1"),
+        (["equivalence-check", "--rounds", "-1"], "need trials >= 1 and "
+                                                  "rounds >= 0")])
+    def test_bad_counts(self, argv, message, capsys):
+        err = self.run(argv, capsys)
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
 
     def test_tree_size_with_stump(self, tmp_path, capsys):
         # used to write "tree_size": 9 into run.tsv and grow 3-node trees

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftboost import potentials as pot
+from driftboost.core import indexed_dataset
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
                                    MinimalPotential, check_eor_rows,
                                    degree_map, gamma_biased_uniform, kappa,
@@ -41,6 +42,17 @@ class TestEorDistribution:
     def test_non_distribution_rejected(self):
         with pytest.raises(ValueError):
             EorDistribution((0.9, 0.3, -0.2), 0.6)
+
+
+class TestUniformBaseline:
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3])
+    def test_entries(self, gamma):
+        # the float expressions of U_gamma, placed by each example's label
+        d = indexed_dataset([2, 1, 3, 3], 3)
+        base = (1.0 - gamma) / 3
+        want = np.full((4, 3), base)
+        want[np.arange(4), d.labels - 1] = base + gamma
+        assert np.array_equal(pot.uniform_baseline(d, gamma).entries, want)
 
 
 def in_eor_per_row(row, gamma):
@@ -98,6 +110,11 @@ class TestEorCheck:
                 rows = self.random_rows(nrng, k, gamma, 20)
                 assert all(in_eor_per_row(r, gamma) for r in rows)
                 check_eor_rows(rows, gamma)
+
+    def test_nan_row_rejected(self):
+        # NaN fails every comparison, so "a test fails" let it through
+        with pytest.raises(ValueError, match="^row 1 is not a probability"):
+            check_eor_rows([[0.6, 0.4], [np.nan, 0.5]], 0.2)
 
     @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
     def test_gamma_out_of_range(self, gamma):

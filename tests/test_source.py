@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import driftboost
 
@@ -16,6 +19,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_harness_and_cli_load_no_scipy():
+    """train, eval and the other CLI commands solve no LP, so loading
+    them must not load the LP solver's package."""
+    code = ("import sys, driftboost.harness, driftboost.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == "[]\n"
 
 
 def unused_imports(tree):

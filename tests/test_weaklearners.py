@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftboost import conditions as cnd
+from driftboost import harness as hz
 from driftboost import weaklearners as wl
 from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
                              is_numeric)
 from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, Leaf, Split,
                                      TreeLearner, best_response, greedy_tree,
-                                     stump, tree_from_dict)
+                                     tree_from_dict)
 
 
 def cost_of(h, C, dataset):
@@ -22,12 +22,12 @@ def cost_of(h, C, dataset):
 
 class TestBestResponse:
     def test_zero_cost_ties_to_first(self):
-        d, space = cnd.figure_one_fixture()
+        d, space = hz.figure_one_fixture()
         got = best_response(space, np.zeros((2, 3)), d)
         assert got is space[0]
 
     def test_figure_one_symmetric_cost_tie(self):
-        d, space = cnd.figure_one_fixture()
+        d, space = hz.figure_one_fixture()
         C = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         # both classifiers cost 0; lowest index wins
         assert best_response(space, C, d) is space[0]
@@ -51,7 +51,7 @@ class TestBestResponse:
             assert all(lo <= cost_of(h, C, d) + 1e-12 for h in space)
 
     def test_learner_leaves_classifiers_untagged(self):
-        d, space = cnd.figure_one_fixture()
+        d, space = hz.figure_one_fixture()
         learner = BestResponseLearner(space)
         assert learner(d, np.zeros((2, 3))) is space[0]
         assert not any(hasattr(h, "index") for h in space)
@@ -176,25 +176,19 @@ class TestStump:
     def test_constant_data_single_leaf(self):
         d = numeric_dataset([5, 5, 5], [1, 2, 1], 2)
         C = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        h = stump(d, C)
+        h = greedy_tree(d, C, 3)
         assert h.size == 1
 
     def test_one_dim_separable(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        assert cost_of(stump(d, C), C, d) == 0.0
-
-    def test_equals_size_three_cost_tree(self):
-        rng = np.random.default_rng(30)
-        d = Dataset((rng.normal(size=12),), rng.integers(1, 3, 12), 2)
-        C = rng.normal(size=(12, 2))
-        assert stump(d, C).to_dict() == greedy_tree(d, C, 3).to_dict()
+        assert cost_of(greedy_tree(d, C, 3), C, d) == 0.0
 
     def test_tree_learner_wrapper(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = TreeLearner(3)(d, C)
-        assert h.to_dict() == stump(d, C).to_dict()
+        assert h.to_dict() == greedy_tree(d, C, 3).to_dict()
 
 
 # ------------------------------------------- reference split search

@@ -64,6 +64,11 @@ class Condition:
 
 
 def make_condition(name, gamma, dataset, baseline=None):
+    """The condition `name` at edge gamma; only "EOR-fixed" reads a
+    baseline (U_gamma when none is given)."""
+    if baseline is not None and name != "EOR-fixed":
+        raise ValueError(f"condition {name} takes no baseline; only "
+                         "EOR-fixed does")
     if name in _BASELINES:
         check_gamma(gamma)
         wrong, true = _BASELINES[name](gamma)

@@ -10,6 +10,8 @@ holds label l. True labels are kept as given (no relabeling to 1).
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 
@@ -51,6 +53,17 @@ class Dataset:
     @property
     def m(self):
         return len(self.labels)
+
+    @cached_property
+    def orders(self):
+        """Per column, its stable argsort if numeric (None if
+        categorical), read-only: each column is sorted once per dataset."""
+        orders = tuple(np.argsort(col, kind="stable") if is_numeric(col)
+                       else None for col in self.columns)
+        for order in orders:
+            if order is not None:
+                order.setflags(write=False)
+        return orders
 
     @property
     def features(self):

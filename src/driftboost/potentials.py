@@ -2,8 +2,11 @@
 
 Convention throughout this module: state vectors s and distributions b are
 indexed with coordinate 1 (array index 0) = the true label. Both losses
-depend on s only through s_l - s_1, and so do all potentials: a batch
-evaluates each distinct (b, s - s_1) once, and the minimal solver memoizes.
+depend on s only through s_l - s_1, and so do all potentials. The walk is
+also exchangeable in the wrong labels, so a fixed-baseline potential reads
+only b_1 and the multiset of pairs (b_l, s_l - s_1), l > 1: a batch keys
+each state by one int64 code of that multiset and evaluates each distinct
+key once, and the minimal solver memoizes sorted difference vectors.
 """
 
 import itertools
@@ -161,14 +164,38 @@ def potential_oracle_bruteforce(b, loss, t, s):
 
 
 def potential_fixed(b, loss, t, s):
-    """phi^b_t(s) for baseline rows b broadcast to states s (..., k); each
-    distinct (b, s - s_1) is evaluated once (a potential reads no more)."""
-    b, s = np.broadcast_arrays(_rows(b), np.asarray(s, dtype=int))
-    keys = np.concatenate((b, s - s[..., :1]), -1).reshape(-1, 2 * s.shape[-1])
-    # unique over one void scalar per key row: faster than axis=0
-    void = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    uniq, inverse = np.unique(void.ravel(), return_inverse=True)
-    b, d = np.split(uniq.view(float).reshape(-1, keys.shape[1]), 2, axis=1)
+    """phi^b_t(s) for baseline rows b broadcast to states s (..., k).
+
+    A potential reads only b_1 and the multiset of wrong-label pairs
+    (b_l, s_l - s_1), l > 1, since the walk is exchangeable in the wrong
+    labels. So each state is keyed by one int64: b's entries ranked, each
+    pair coded as one int, the pairs sorted along the row and packed in
+    mixed radix, the packed prefix re-ranked whenever the next column
+    could take it past 2^62. Each distinct key is evaluated once, on its
+    canonical row (wrong-label pairs in ascending order)."""
+    bv = _rows(b)
+    vals, code = np.unique(bv, return_inverse=True)
+    code, s = np.broadcast_arrays(code.reshape(bv.shape),
+                                  np.asarray(s, dtype=int))
+    k = s.shape[-1]
+    code, d = code.reshape(-1, k), (s - s[..., :1]).reshape(-1, k)[:, 1:]
+    lo = int(d.min(initial=0))
+    span = int(d.max(initial=0)) - lo + 1
+    pairs = np.sort(code[:, 1:] * span + (d - lo), axis=1)
+    key, size, width = code[:, 0], len(vals), len(vals) * span
+    for column in pairs.T:
+        if size * width > 2 ** 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            size = len(uniq)
+        key, size = key * width + column, size * width
+    uniq, inverse = np.unique(key, return_inverse=True)
+    # any row of a key will do, as they share its canonical row; not
+    # asking for the first occurrence spares unique a stable sort
+    rep = np.empty(len(uniq), dtype=int)
+    rep[inverse] = np.arange(len(key))
+    pairs = pairs[rep]
+    b = vals[np.concatenate((code[rep, :1], pairs // span), axis=1)]
+    d = np.concatenate((np.zeros((len(rep), 1), int), pairs % span + lo), 1)
     phi = (potential_exp_closed(b, loss.eta, t, d) if loss.kind == EXP
            else potential_zeroone_dp(b, t, d))
     return phi[inverse].reshape(s.shape[:-1])[()]

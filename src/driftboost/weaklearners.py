@@ -174,26 +174,36 @@ def _split_gains(node, dataset, c):
     """[(column, numeric, thresholds, approximate gains)] of a leaf's
     candidate splits, in (column, candidate) order. Child cost sums come
     from prefix sums over the leaf sorted by the column (numeric) or
-    from per-category sums (categorical). A numeric left count comes
-    from searchsorted, which reproduces `values <= thr` exactly even
-    where a midpoint rounds up to the next value."""
+    from per-category sums (categorical). The leaf's sorted order is the
+    dataset's one stable column order filtered to the leaf's members:
+    the same rows in the same order as a stable sort of the leaf. A
+    numeric left count comes from searchsorted, which reproduces
+    `values <= thr` exactly even where a midpoint rounds up to the next
+    value."""
     rows = c[node.members]
     n = len(rows)
     total = rows.sum(axis=0)
+    member = None
+    if n < dataset.m:
+        member = np.zeros(dataset.m, dtype=bool)
+        member[node.members] = True
     out = []
     for j, column in enumerate(dataset.columns):
-        values = column[node.members]
         numeric = is_numeric(column)
         if numeric:
-            order = np.argsort(values, kind="stable")
-            ordered = values[order]
-            distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+            order = dataset.orders[j]
+            if member is not None:
+                order = order[member[order]]
+            ordered = column[order]
+            new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+            distinct = ordered[new]
             # halves first: the sum of two large values overflows
             thresholds = distinct[:-1] / 2 + distinct[1:] / 2
             n_left = np.searchsorted(ordered, thresholds, side="right")
             keep = (n_left > 0) & (n_left < n)
-            left = np.cumsum(rows[order], axis=0)[n_left[keep] - 1]
+            left = np.cumsum(c[order], axis=0)[n_left[keep] - 1]
         else:
+            values = column[node.members]
             thresholds, inverse = np.unique(values, return_inverse=True)
             n_left = np.bincount(inverse)
             keep = n_left < n
@@ -220,7 +230,9 @@ def greedy_tree(dataset, C, max_size):
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
     2016, Alg. 1): each leaf scores all its candidates in one vectorised
     pass when it joins the tree and keeps the gains, so an expansion
-    scans only the two new children. Prefix sums add in another order,
+    scans only the two new children. Each numeric column is sorted once
+    per dataset (Dataset.orders), not per leaf or per round: a leaf
+    filters that order to its members. Prefix sums add in another order,
     so their gains only shortlist: the candidates whose approximate gain
     lies in the top cluster (no gap wider than 2 eps + 1e-12, eps a
     bound on the prefix-sum error) have their gains recomputed from the

@@ -57,6 +57,15 @@ class TestMakeCondition:
         with pytest.raises(ValueError):
             cnd.make_condition("EOR-fixed", 0.2, d, b)
 
+    @pytest.mark.parametrize("name", ["SAMME", "M1", "MH", "MR"])
+    def test_fixed_conditions_reject_a_baseline(self, name):
+        """A fixed condition's baseline comes from gamma alone, so a
+        passed one would be dropped without a word."""
+        d = indexed_dataset([1, 2], 2)
+        with pytest.raises(ValueError, match=f"^condition {name} takes no "
+                           "baseline"):
+            cnd.make_condition(name, 0.1, d, Baseline([[9, -8], [5, 5]]))
+
     def test_gamma_one_rejected(self):
         d = indexed_dataset([1, 2], 2)
         with pytest.raises(ValueError):

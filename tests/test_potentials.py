@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftboost import potentials as pot
 from driftboost.core import indexed_dataset
@@ -234,6 +236,89 @@ class TestBatches:
         keys = {(tuple(bi), tuple(si - si[0])) for bi, si in zip(b, s)}
         assert len(keys) < len(s)
         assert len(seen) == len(keys) and set(seen) == keys
+
+
+def canonical_state(b, s):
+    """b_1 and the multiset of wrong-label pairs (b_l, s_l - s_1): all a
+    potential reads, since the walk is exchangeable in the wrong labels."""
+    return b[0], tuple(sorted(zip(b[1:].tolist(), (s[1:] - s[0]).tolist())))
+
+
+def count_rows(inner, call):
+    """(call(), row counts of the batches that call() hands inner)."""
+    seen = []
+    evaluate = getattr(pot, inner)
+
+    def recording(rows, *args):
+        seen.append(len(rows))
+        return evaluate(rows, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pot, inner, recording)
+        return call(), seen
+
+
+class TestCanonicalKeys:
+    """potential_fixed keys a state by its canonical form: the batch
+    hands the inner potential one row per distinct canonical state, and
+    every state gets its own potential."""
+
+    def states(self, seed, k, spread, S=10):
+        """S random states on per-row baselines (three random rows of
+        Delta_gamma^k and U_gamma), then each again with its wrong labels
+        permuted, baseline entries along, and shifted by a constant: a
+        second key for the same canonical state."""
+        nrng = np.random.default_rng(seed)
+        gamma = float(nrng.uniform(0.0, 0.3))
+        rows = np.concatenate((
+            TestEorCheck().random_rows(nrng, k, gamma, 3),
+            [gamma_biased_uniform(k, gamma).b]))
+        b = rows[nrng.integers(0, len(rows), S)]
+        s = nrng.integers(-spread, spread + 1, (S, k))
+        perm = np.concatenate((np.zeros((S, 1), int), 1 + np.argsort(
+            nrng.random((S, k - 1)), axis=1)), axis=1)
+        b = np.concatenate((b, np.take_along_axis(b, perm, 1)))
+        s = np.concatenate((s, np.take_along_axis(s, perm, 1)
+                            + nrng.integers(-2, 3, (S, 1))))
+        return b, s
+
+    def check(self, loss, t, b, s):
+        inner = "potential_exp_closed" if loss.kind == EXP \
+            else "potential_zeroone_dp"
+        got, seen = count_rows(inner, lambda: potential_fixed(b, loss, t, s))
+        want = [potential_exp_closed(bi, loss.eta, t, si) if loss.kind == EXP
+                else potential_zeroone_dp(bi, t, si) for bi, si in zip(b, s)]
+        assert seen == [len({canonical_state(bi, si)
+                             for bi, si in zip(b, s)})]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 7),
+           t=st.integers(0, 25), exp=st.booleans())
+    def test_property(self, seed, k, t, exp):
+        loss = LossSpec(EXP, 0.3) if exp else ZO
+        self.check(loss, t, *self.states(seed, k, 3))
+
+    @pytest.mark.parametrize("loss", [ZO, LossSpec(EXP, 0.01)])
+    def test_wide_keys_are_re_ranked(self, loss):
+        """k = 12 and differences over +-150: eleven pair columns of
+        38 baseline codes times about 530 differences pass 2^62 in the
+        mixed radix, so the packed prefix is re-ranked on the way (an
+        int64 that wrapped instead would rarely show as a collision)."""
+        b, s = self.states(12, 12, 150)
+        kinds = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            kinds.append(np.asarray(a).dtype.kind)
+            return unique(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "unique", recording)
+            potential_fixed(b, loss, 3, s)
+        # the final dedup and at least one re-rank rank int keys
+        assert kinds.count("i") >= 2
+        self.check(loss, 3, b, s)
 
 
 class TestExpClosedForm:

@@ -160,3 +160,27 @@ def test_no_unused_parameters():
              for line, name, param in unused_parameters(
                  ast.parse(path.read_text()))]
     assert found == []
+
+
+def void_views(tree):
+    """Line of every reference to np.void (numpy.void): the row-as-bytes
+    view that a packed int64 key replaces."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "void"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy"))
+
+
+def test_void_views_detected():
+    tree = ast.parse("import numpy as np\nv = a.view(np.dtype((np.void, 8)))\n"
+                     "w = numpy.void\nx = a.void\n")
+    assert void_views(tree) == [2, 3]
+
+
+def test_no_void_views():
+    """Batched potentials key each state by one int64; a second key
+    representation (rows viewed as np.void bytes) is not kept."""
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in void_views(ast.parse(path.read_text()))]
+    assert found == []

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from driftboost import harness as hz
 from driftboost import weaklearners as wl
+from driftboost.boosters import os_boost_fixed
 from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
                              is_numeric)
+from driftboost.potentials import ZERO_ONE, LossSpec, uniform_baseline
 from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, Leaf, Split,
                                      TreeLearner, best_response, greedy_tree,
@@ -189,6 +191,52 @@ class TestStump:
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         h = TreeLearner(3)(d, C)
         assert h.to_dict() == greedy_tree(d, C, 3).to_dict()
+
+
+class TestPresort:
+    """Each numeric column of a dataset is sorted once; every leaf of
+    every round reads that one order."""
+
+    def training_set(self):
+        # int columns: the learner's own ranking of float gains is not
+        # a column sort, and is told apart by its dtype
+        rng = np.random.default_rng(3)
+        m = 300
+        full = Dataset((*rng.integers(0, 8, (3, m)),
+                        np.array(list("abc"))[rng.integers(0, 3, m)]),
+                       rng.integers(1, 5, m), 4)
+        return full.subset(rng.permutation(m)[:240])
+
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_os_run_sorts_each_column_once(self, monkeypatch, size):
+        d = self.training_set()
+        sorted_ints = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "i":
+                sorted_ints.append(np.array(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
+                             20, TreeLearner(size))
+        assert len(run.rounds) == 20
+        numeric = [col for col in d.columns if is_numeric(col)]
+        assert len(sorted_ints) == len(numeric) == 3
+        for col, got in zip(numeric, sorted_ints):
+            assert np.array_equal(got, col)
+
+    def test_orders_are_cached_and_read_only(self):
+        d = self.training_set()
+        orders = d.orders
+        assert d.orders is orders
+        assert orders[3] is None
+        for col, order in zip(d.columns[:3], orders[:3]):
+            assert np.array_equal(order, np.argsort(col, kind="stable"))
+            assert not order.flags.writeable
+            with pytest.raises(ValueError):
+                order[0] = 0
 
 
 # ------------------------------------------- reference split search

@@ -3,10 +3,11 @@ edge-over-random condition, adaptive AdaBoost.MM with both step rules,
 plain binary AdaBoost, and the mislabel-triple transform tying the two
 together.
 
-Every loop works on whole arrays: the OS booster evaluates each round's
-potentials as one batch of child states, the mislabel triples are three
-index arrays, and the transformed classifier space is one value matrix
-with a row per classifier and a column per triple.
+Every loop works on whole arrays: the OS booster groups its rows into
+classes of equal baseline row and state, and evaluates each round's
+potentials as one batch of the classes' child states; the mislabel
+triples are three index arrays, and the transformed classifier space is
+one value matrix with a row per classifier and a column per triple.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import (prediction_matrix, training_error, true_label_first,
                    wrong_labels)
-from .potentials import EXP, check_eor_rows, potential_fixed
+from .potentials import EXP, _classes, check_eor_rows, potential_fixed
 from .weaklearners import BestResponseLearner
 
 ALPHA_MAX = 20.0
@@ -136,9 +137,13 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     phi^{b_i}_{T-t-1}(s_t(i) + e_l), alpha_t = 1 (ZERO_ONE) or eta (EXP).
 
     Potentials index coordinate 1 = true label, so each row's baseline
-    and states are reordered true-label-first; potential_fixed evaluates
-    each round's m*k child states as one batch. Every row must lie in
-    Delta_gamma^k for the first row's gamma."""
+    and states are reordered true-label-first. A row's potentials depend
+    only on its baseline row and its state, so rows are grouped into
+    classes keyed by (baseline row, s_2..s_k), s_1 being the round less
+    their sum. Each round potential_fixed evaluates the k child states
+    of one row per class as one batch, and each row reads its class's
+    values back. Every row must lie in Delta_gamma^k for the first row's
+    gamma."""
     m, k = dataset.m, dataset.k
     rows = np.arange(m)[:, None]
     order = true_label_first(dataset.labels, k) - 1
@@ -148,14 +153,20 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     # names it, and still passes a rounding hair below 0
     check_eor_rows(b, gamma if 0.0 <= gamma < 1.0 else 0.0)
     alpha = loss.eta if loss.kind == EXP else 1.0
+    # each row's baseline row id, and the first row of each id
+    _, first, brow = np.unique(b, axis=0, return_index=True,
+                               return_inverse=True)
     s = np.zeros((m, k), dtype=int)
     rounds = []
-    initial = sum(potential_fixed(b, loss, T, s).tolist()) / m
+    initial = sum(potential_fixed(b[first], loss, T, s[0])[brow].tolist()) / m
     all_satisfied = True
     for t in range(T):
-        children = s[rows, order][:, None, :] + np.eye(k, dtype=int)
+        state = s[rows, order]
+        rep, inverse = _classes(brow, len(first), state[:, 1:], t + 1)
+        children = state[rep][:, None, :] + np.eye(k, dtype=int)
         C = np.empty((m, k))
-        C[rows, order] = potential_fixed(b[:, None], loss, T - t - 1, children)
+        C[rows, order] = potential_fixed(b[rep][:, None], loss, T - t - 1,
+                                         children)[inverse]
         h = learner(dataset, C)
         preds = h.predict_all(dataset)
         chosen = C[rows[:, 0], preds - 1]

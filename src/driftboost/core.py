@@ -65,6 +65,19 @@ class Dataset:
                 order.setflags(write=False)
         return orders
 
+    @cached_property
+    def categories(self):
+        """Per column, (its sorted distinct values, each row's index
+        into them) if categorical (None if numeric), read-only: each
+        column is ranked once per dataset."""
+        ranked = tuple(None if is_numeric(col)
+                       else np.unique(col, return_inverse=True)
+                       for col in self.columns)
+        for pair in filter(None, ranked):
+            for array in pair:
+                array.setflags(write=False)
+        return ranked
+
     @property
     def features(self):
         """Row tuples of Python scalars, rebuilt from the columns."""

@@ -163,16 +163,35 @@ def potential_oracle_bruteforce(b, loss, t, s):
     return total
 
 
+def _classes(key, size, columns, width):
+    """(rep, inverse) for rows keyed by key in [0, size) and then by the
+    int columns (rows, n) in [0, width): one representative row per
+    distinct key, and each row's class index. The row key is packed in
+    mixed radix into one int64, and the packed prefix is re-ranked
+    whenever the next column could take it past 2^62, so no width or
+    column count can overflow it."""
+    for column in np.asarray(columns).T:
+        if size * width > 2 ** 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            size = len(uniq)
+        key, size = key * width + column, size * width
+    uniq, inverse = np.unique(key, return_inverse=True)
+    # any row of a class will do, as its rows share their potentials;
+    # not asking for the first occurrence spares unique a stable sort
+    rep = np.empty(len(uniq), dtype=int)
+    rep[inverse] = np.arange(len(key))
+    return rep, inverse
+
+
 def potential_fixed(b, loss, t, s):
     """phi^b_t(s) for baseline rows b broadcast to states s (..., k).
 
     A potential reads only b_1 and the multiset of wrong-label pairs
     (b_l, s_l - s_1), l > 1, since the walk is exchangeable in the wrong
-    labels. So each state is keyed by one int64: b's entries ranked, each
-    pair coded as one int, the pairs sorted along the row and packed in
-    mixed radix, the packed prefix re-ranked whenever the next column
-    could take it past 2^62. Each distinct key is evaluated once, on its
-    canonical row (wrong-label pairs in ascending order)."""
+    labels. So each state is keyed by b_1's rank among b's entries and
+    its pairs, each coded as one int and sorted along the row (_classes
+    packs them). Each distinct key is evaluated once, on its canonical
+    row (wrong-label pairs in ascending order)."""
     bv = _rows(b)
     vals, code = np.unique(bv, return_inverse=True)
     code, s = np.broadcast_arrays(code.reshape(bv.shape),
@@ -182,17 +201,7 @@ def potential_fixed(b, loss, t, s):
     lo = int(d.min(initial=0))
     span = int(d.max(initial=0)) - lo + 1
     pairs = np.sort(code[:, 1:] * span + (d - lo), axis=1)
-    key, size, width = code[:, 0], len(vals), len(vals) * span
-    for column in pairs.T:
-        if size * width > 2 ** 62:
-            uniq, key = np.unique(key, return_inverse=True)
-            size = len(uniq)
-        key, size = key * width + column, size * width
-    uniq, inverse = np.unique(key, return_inverse=True)
-    # any row of a key will do, as they share its canonical row; not
-    # asking for the first occurrence spares unique a stable sort
-    rep = np.empty(len(uniq), dtype=int)
-    rep[inverse] = np.arange(len(key))
+    rep, inverse = _classes(code[:, 0], len(vals), pairs, len(vals) * span)
     pairs = pairs[rep]
     b = vals[np.concatenate((code[rep, :1], pairs // span), axis=1)]
     d = np.concatenate((np.zeros((len(rep), 1), int), pairs % span + lo), 1)

@@ -176,12 +176,14 @@ def _split_gains(node, dataset, c):
     from prefix sums over the leaf sorted by the column (numeric) or
     from per-category sums (categorical). The leaf's sorted order is the
     dataset's one stable column order filtered to the leaf's members:
-    the same rows in the same order as a stable sort of the leaf. A
-    numeric left count comes from searchsorted, which reproduces
-    `values <= thr` exactly even where a midpoint rounds up to the next
-    value."""
+    the same rows in the same order as a stable sort of the leaf. Its
+    categories are the codes present among its members, read from the
+    dataset's one ranking of the column, and each category's sum adds
+    the members' cost rows in member order. A numeric left count comes
+    from searchsorted, which reproduces `values <= thr` exactly even
+    where a midpoint rounds up to the next value."""
     rows = c[node.members]
-    n = len(rows)
+    n, k = rows.shape
     total = rows.sum(axis=0)
     member = None
     if n < dataset.m:
@@ -203,13 +205,14 @@ def _split_gains(node, dataset, c):
             keep = (n_left > 0) & (n_left < n)
             left = np.cumsum(c[order], axis=0)[n_left[keep] - 1]
         else:
-            values = column[node.members]
-            thresholds, inverse = np.unique(values, return_inverse=True)
-            n_left = np.bincount(inverse)
-            keep = n_left < n
-            left = np.zeros((len(thresholds), rows.shape[1]), rows.dtype)
-            np.add.at(left, inverse, rows)
-            left = left[keep]
+            thresholds, codes = dataset.categories[j]
+            code = codes[node.members]
+            n_left = np.bincount(code, minlength=len(thresholds))
+            keep = (n_left > 0) & (n_left < n)
+            # each category's cost rows summed in member order
+            left = np.bincount((code[:, None] * k + np.arange(k)).ravel(),
+                               rows.ravel(), len(thresholds) * k)
+            left = left.reshape(-1, k)[keep]
         gains = node.score - (left.min(axis=1) + (total - left).min(axis=1))
         out.append((j, numeric, thresholds[keep], gains))
     return out
@@ -231,8 +234,9 @@ def greedy_tree(dataset, C, max_size):
     2016, Alg. 1): each leaf scores all its candidates in one vectorised
     pass when it joins the tree and keeps the gains, so an expansion
     scans only the two new children. Each numeric column is sorted once
-    per dataset (Dataset.orders), not per leaf or per round: a leaf
-    filters that order to its members. Prefix sums add in another order,
+    per dataset (Dataset.orders), and each categorical column ranked once
+    (Dataset.categories), not per leaf or per round: a leaf filters that
+    order, or those codes, to its members. Prefix sums add in another order,
     so their gains only shortlist: the candidates whose approximate gain
     lies in the top cluster (no gap wider than 2 eps + 1e-12, eps a
     bound on the prefix-sum error) have their gains recomputed from the

@@ -13,7 +13,8 @@ from driftboost import potentials as pot
 from driftboost import weaklearners as wl
 from driftboost.core import (Baseline, Dataset, ScoringFunction,
                              TableClassifier, exp_risk, indexed_dataset, plurality_predict,
-                             prediction_matrix, training_error)
+                             prediction_matrix, training_error,
+                             wrong_labels)
 from driftboost.harness import random_dataset_space
 from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, TreeLearner,
@@ -445,6 +446,93 @@ class TestOsBooster:
         assert np.array_equal(runs[0].f, runs[1].f)
         assert runs[0].extra["initial_potential"] == pytest.approx(
             runs[1].extra["initial_potential"], rel=0, abs=1e-12)
+
+
+class TestStateClasses:
+    """A row's potentials depend only on its baseline row and its state,
+    so the OS booster hands potential_fixed the k child states of one
+    row per (baseline row, state) class, and the rows read them back."""
+
+    def batch_sizes(self, monkeypatch, d, B, loss, T, learner):
+        """The run, and the number of (baseline row, state) pairs each
+        potential_fixed call received."""
+        sizes = []
+
+        def recording(b, loss, t, s):
+            shape = np.broadcast_shapes(np.shape(b), np.shape(s))
+            sizes.append(int(np.prod(shape[:-1])))
+            return pot.potential_fixed(b, loss, t, s)
+
+        monkeypatch.setattr(bst, "potential_fixed", recording)
+        return bst.os_boost_fixed(d, B, loss, T, learner), sizes
+
+    @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
+                             ids=["zeroone", "exp"])
+    @pytest.mark.parametrize("baseline", ["uniform", "random"])
+    def test_one_batch_row_per_class(self, monkeypatch, baseline, loss):
+        rng = np.random.default_rng(6)
+        m, k, T = 60, 3, 8
+        d = Dataset((rng.integers(0, 4, m),), rng.integers(1, k + 1, m), k)
+        B = (pot.uniform_baseline(d, 0.1) if baseline == "uniform"
+             else random_eor_baseline(d, 0.1, rng))
+        run, sizes = self.batch_sizes(monkeypatch, d, B, loss, T,
+                                      TreeLearner(3))
+        s = np.zeros((m, k), dtype=int)
+        classes = []
+        for t in range(T + 1):
+            classes.append(len({per_row_key(B, d, t, i, s[i])[1:]
+                                for i in range(m)}))
+            if t < T:
+                s[np.arange(m), run.rounds[t].preds - 1] += 1
+        # the initial average takes one state per baseline row, then each
+        # round the k children of one row per class
+        assert sizes == [classes[0]] + [k * n for n in classes[:-1]]
+        if baseline == "uniform":
+            assert max(classes) < m // 4
+        else:
+            assert classes == [m] * (T + 1)
+
+    @pytest.mark.parametrize("baseline", ["uniform", "alternating"])
+    def test_wide_keys_are_exact(self, monkeypatch, baseline):
+        """k = 12 and T = 60: from round 50 on, a class key of eleven
+        state columns of up to 61 values passes 2^62 in mixed radix, so
+        the packed prefix must be re-ranked on the way. Every int key that
+        is ranked stays in [0, 2^62] (a wrapped int64 would rarely show as
+        a collision), and every C_t equals the per-row reference."""
+        k, T, m = 12, 60, 12
+        d = indexed_dataset(np.arange(m) % k + 1, k)
+        rng = np.random.default_rng(4)
+        if baseline == "uniform":
+            B = pot.uniform_baseline(d, 0.1)
+        else:
+            two = np.array([[0.3, 0.2] + [0.05] * 10,
+                            [0.2] + [0.1] * 3 + [0.0625] * 8])
+            order = np.concatenate((d.labels[:, None] - 1,
+                                    wrong_labels(d.labels, k) - 1), axis=1)
+            rows = np.empty((m, k))
+            rows[np.arange(m)[:, None], order] = two[np.arange(m) % 2]
+            B = cnd.eor_baseline(d, rows, 0.1)
+        # half the votes go to the lowest wrong label, so the key's
+        # leading state column grows to about t / 2
+        lowest = wrong_labels(d.labels, k)[:, 0]
+
+        def learner(dataset, C):
+            return TableClassifier(np.where(rng.random(m) < 0.5, lowest,
+                                            rng.integers(1, k + 1, m)))
+
+        ranked = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "i":
+                ranked.append((int(np.min(a)), int(np.max(a))))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        check_os_run(monkeypatch, d, B, pot.LossSpec(pot.EXP, 0.05), T,
+                     learner)
+        assert ranked
+        assert all(0 <= lo and hi <= 2 ** 62 for lo, hi in ranked)
 
 
 def summed_table(run, d):

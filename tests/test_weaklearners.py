@@ -227,6 +227,40 @@ class TestPresort:
         for col, got in zip(numeric, sorted_ints):
             assert np.array_equal(got, col)
 
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_os_run_ranks_each_categorical_column_once(self, monkeypatch,
+                                                       size):
+        d = self.training_set()
+        ranked = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "U":
+                ranked.append(np.array(a))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
+                             20, TreeLearner(size))
+        assert len(run.rounds) == 20
+        assert any(r.classifier.size > 1 for r in run.rounds)
+        categorical = [col for col in d.columns if not is_numeric(col)]
+        assert len(ranked) == len(categorical) == 1
+        assert np.array_equal(ranked[0], categorical[0])
+
+    def test_categories_are_cached_and_read_only(self):
+        d = self.training_set()
+        categories = d.categories
+        assert d.categories is categories
+        assert categories[:3] == (None, None, None)
+        values, codes = categories[3]
+        assert values.tolist() == sorted(set(d.columns[3].tolist()))
+        assert np.array_equal(values[codes], d.columns[3])
+        for array in (values, codes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
     def test_orders_are_cached_and_read_only(self):
         d = self.training_set()
         orders = d.orders

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import (prediction_matrix, training_error, true_label_first,
                    wrong_labels)
-from .potentials import EXP, _classes, check_eor_rows, potential_fixed
+from .potentials import (EXP, ZERO_ONE, _classes, check_eor_rows,
+                         potential_fixed, zeroone_table)
 from .weaklearners import BestResponseLearner
 
 ALPHA_MAX = 20.0
@@ -52,18 +53,6 @@ def _mm_weight_matrix(f, y):
     e = np.exp(np.minimum(d, 700.0))
     e[np.arange(m), y] = 0.0
     return e
-
-
-def drop_factor_exact(A_plus, A_minus, Z_prev, delta):
-    """Exact per-round loss drop under the EXACT step rule:
-    (1 - c) + sqrt(c^2 - delta^2) with c = (A_plus + A_minus)/Z_prev.
-    Always <= sqrt(1 - delta^2)."""
-    if not 0.0 <= A_minus <= A_plus <= Z_prev:
-        raise ValueError("need 0 <= A_minus <= A_plus <= Z_prev")
-    if abs(delta - (A_plus - A_minus) / Z_prev) > 1e-9:
-        raise ValueError("delta inconsistent with (A_plus - A_minus)/Z_prev")
-    c = (A_plus + A_minus) / Z_prev
-    return (1.0 - c) + math.sqrt(max(c * c - delta * delta, 0.0))
 
 
 def _step(delta, ratio=None):
@@ -137,12 +126,15 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     phi^{b_i}_{T-t-1}(s_t(i) + e_l), alpha_t = 1 (ZERO_ONE) or eta (EXP).
 
     Potentials index coordinate 1 = true label, so each row's baseline
-    and states are reordered true-label-first. A row's potentials depend
-    only on its baseline row and its state, so rows are grouped into
-    classes keyed by (baseline row, s_2..s_k), s_1 being the round less
-    their sum. Each round potential_fixed evaluates the k child states
-    of one row per class as one batch, and each row reads its class's
-    values back. Every row must lie in Delta_gamma^k for the first row's
+    and states are reordered true-label-first. When the loss is ZERO_ONE
+    and every row has the same baseline row with equal wrong-label
+    entries (U_gamma, for one), zeroone_table builds the run's
+    potentials once and each row walks its states down the table.
+    Otherwise a row's potentials depend only on its baseline row and its
+    state, so rows are grouped into classes keyed by (baseline row,
+    s_2..s_k), s_1 being the round less their sum, and each round
+    potential_fixed evaluates the k child states of one row per class as
+    one batch. Every row must lie in Delta_gamma^k for the first row's
     gamma."""
     m, k = dataset.m, dataset.k
     rows = np.arange(m)[:, None]
@@ -157,16 +149,34 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     _, first, brow = np.unique(b, axis=0, return_index=True,
                                return_inverse=True)
     s = np.zeros((m, k), dtype=int)
+    table = (loss.kind == ZERO_ONE and len(first) == 1
+             and bool((b[0, 1:] == b[0, 1]).all()))
+    if table:
+        start, children, values = zeroone_table(b[0, 0], b[0, 1], k, T)
+        node = np.full(m, start)
+        phi = values[0][[start]]
+    else:
+        phi = potential_fixed(b[first], loss, T, s[0])
     rounds = []
-    initial = sum(potential_fixed(b[first], loss, T, s[0])[brow].tolist()) / m
+    initial = sum(phi[brow].tolist()) / m
     all_satisfied = True
     for t in range(T):
         state = s[rows, order]
-        rep, inverse = _classes(brow, len(first), state[:, 1:], t + 1)
-        children = state[rep][:, None, :] + np.eye(k, dtype=int)
-        C = np.empty((m, k))
-        C[rows, order] = potential_fixed(b[rep][:, None], loss, T - t - 1,
-                                         children)[inverse]
+        if table:
+            # a vote for a wrong label leads to child 1 + p for any sorted
+            # position p of its value: p = the count of smaller ones
+            wrong = state[:, 1:]
+            rank = (wrong[:, :, None] > wrong[:, None, :]).sum(axis=2)
+            child = np.empty((m, k), dtype=int)
+            child[rows, order] = children[t][node[:, None],
+                                             np.insert(rank + 1, 0, 0, 1)]
+            C = values[t + 1][child]
+        else:
+            C = np.empty((m, k))
+            rep, inverse = _classes(brow, len(first), state[:, 1:], t + 1)
+            kids = state[rep][:, None, :] + np.eye(k, dtype=int)
+            C[rows, order] = potential_fixed(b[rep][:, None], loss,
+                                             T - t - 1, kids)[inverse]
         h = learner(dataset, C)
         preds = h.predict_all(dataset)
         chosen = C[rows[:, 0], preds - 1]
@@ -174,6 +184,8 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         if e < -1e-9:
             all_satisfied = False
         s[rows[:, 0], preds - 1] += 1
+        if table:
+            node = child[rows[:, 0], preds - 1]
         # s_{t+1}(i) = s_t(i) + e_{h(x_i)}: the chosen entries of C_t
         avg = sum(chosen.tolist()) / m
         rounds.append(BoostRound(t + 1, h, e, alpha, 0.0, 0.0, preds=preds,

@@ -7,9 +7,11 @@ also exchangeable in the wrong labels, so a fixed-baseline potential reads
 only b_1 and the multiset of pairs (b_l, s_l - s_1), l > 1: a batch keys
 each state by one int64 code of that multiset and evaluates each distinct
 key once, and the minimal solver memoizes sorted difference vectors.
+Under one baseline row (b_1, b_w, ..., b_w) shared by a whole run, the
+zero-one potentials of every state the run can reach come from one
+backward table over sorted difference vectors (zeroone_table).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,12 +91,6 @@ def uniform_baseline(dataset, gamma):
     return Baseline(entries)
 
 
-def kappa(gamma, eta, k):
-    """Per-round drop factor of the uniform-baseline exponential potential."""
-    return (1.0 + ((1.0 - gamma) / k) * (math.exp(eta) + math.exp(-eta) - 2.0)
-            - (1.0 - math.exp(-eta)) * gamma)
-
-
 def _rows(b):
     return np.asarray(b.b if isinstance(b, EorDistribution) else b, float)
 
@@ -141,26 +137,9 @@ def potential_zeroone_dp(b, t, s):
             lost += np.where(keep, 0.0, move.sum(axis=2)).sum(axis=1)
         mass = nxt
     lost += np.where(n > caps[:, -1, :, None], mass, 0.0).sum(axis=(1, 2))
+    # a wrong label t or more votes ahead has already won: exactly 1
+    lost[(d[:, 1:] - d[:, :1]).max(axis=1) >= t] = 1.0
     return lost.reshape(np.shape(s)[:-1])[()]
-
-
-def potential_oracle_bruteforce(b, loss, t, s):
-    """Exact E[L(end state)] by enumerating all k^t walk paths."""
-    bv = _rows(b)
-    k = len(bv)
-    if t > 8 or k > 5:
-        raise ValueError("brute-force oracle capped at t <= 8, k <= 5")
-    s = np.asarray(s, dtype=float)
-    total = 0.0
-    for path in itertools.product(range(k), repeat=t):
-        prob = 1.0
-        end = s.copy()
-        for step in path:
-            prob *= bv[step]
-            end[step] += 1.0
-        if prob:
-            total += prob * loss_value(loss, end)
-    return total
 
 
 def _classes(key, size, columns, width):
@@ -208,6 +187,69 @@ def potential_fixed(b, loss, t, s):
     phi = (potential_exp_closed(b, loss.eta, t, d) if loss.kind == EXP
            else potential_zeroone_dp(b, t, d))
     return phi[inverse].reshape(s.shape[:-1])[()]
+
+
+def _settle(d, left):
+    """(index, states) for rows d of sorted wrong-label differences at a
+    level with `left` rounds to go. A row with max d >= left is lost
+    (index 1), one with max d < -left is won (index 0): no later votes
+    can change either. The other rows, each entry clamped at -left - 1
+    (a label that far behind can no longer win), get 2 + their rank
+    among the distinct rows, which are returned in that order."""
+    d = np.maximum(d, -left - 1)
+    top = d[:, -1]
+    index = (top >= left).astype(int)
+    open_ = (top >= -left) & (top < left)
+    # entries of open rows lie in [-left - 1, left - 1]
+    d = d[open_]
+    code, width = d.astype(np.int64) + (left + 1), 2 * left + 1
+    rep, inverse = _classes(code[:, 0], width, code[:, 1:], width)
+    index[open_] = 2 + inverse
+    return index, d[rep]
+
+
+def zeroone_table(b1, bw, k, T):
+    """Zero-one potentials of a whole T-round run under one baseline row
+    (b1, bw, ..., bw) shared by every example.
+
+    A state after t rounds is keyed by its sorted wrong-label
+    differences d_l = s_l - s_1. A forward pass lists each level's
+    reachable undecided states (see _settle), and a backward pass fills
+    the drifting-game recurrence V_t(s) = b1 V_{t+1}(s + e_1) +
+    bw sum_{l>1} V_{t+1}(s + e_l), the wrong children added in sorted
+    order. Returns (start, children, values): values[t][u] is V_t of
+    level t's state u, where u = 0 is every won state (exactly 0.0) and
+    u = 1 every lost one (exactly 1.0); children[t][u, 0] is the index at
+    level t + 1 of u's child after a true-label vote, and
+    children[t][u, 1 + p] after a vote for the wrong label at sorted
+    position p; start is the index of state 0 at level 0."""
+    dtype = np.min_scalar_type(-T - 2)
+    start, level = _settle(np.zeros((1, k - 1), dtype), T)
+    children = []
+    for t in range(T):
+        n = len(level)
+        # a vote for position p raises the last entry of p's run of
+        # equal values, which keeps the row sorted
+        last = np.tile(np.arange(k - 1), (n, 1))
+        for p in range(k - 3, -1, -1):
+            last[:, p] = np.where(level[:, p] == level[:, p + 1],
+                                  last[:, p + 1], p)
+        kids = np.repeat(level[:, None], k, axis=1)
+        kids[:, 0] -= 1
+        kids[np.arange(n)[:, None], np.arange(1, k), last] += 1
+        index, level = _settle(kids.reshape(-1, k - 1), T - t - 1)
+        children.append(np.concatenate(([[0] * k, [1] * k],
+                                        index.reshape(n, k))))
+    values = [np.array([0.0, 1.0])]
+    for child in reversed(children):
+        nxt = values[-1]
+        wrong = nxt[child[:, 1]]
+        for p in range(2, k):
+            wrong += nxt[child[:, p]]
+        v = b1 * nxt[child[:, 0]] + bw * wrong
+        v[:2] = 0.0, 1.0
+        values.append(v)
+    return int(start[0]), children, values[::-1]
 
 
 class MinimalPotential:
@@ -289,13 +331,3 @@ def degree_map(gamma, loss, T):
                 _, a = table.value_degree(t, (0, u, u + v))
                 rows.append((u, v, t, a))
     return rows
-
-
-def minimal_vs_fixed_gap(gamma, T, k):
-    """(phi_T(0), max_b phi^b_T(0)) under ZERO_ONE; the fixed maximum is
-    taken at the gamma-biased uniform b."""
-    loss = LossSpec(ZERO_ONE)
-    zero = np.zeros(k, dtype=int)
-    minimal, _ = potential_minimal(gamma, loss, T, zero)
-    fixed = potential_zeroone_dp(gamma_biased_uniform(k, gamma), T, zero)
-    return minimal, fixed

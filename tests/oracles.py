@@ -1,0 +1,87 @@
+"""Reference implementations that only the tests use: brute-force and
+closed-form potentials, the exact AdaBoost.MM drop factor, and a
+plain-Python recursion for the zero-one table of the OS booster."""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from driftboost.potentials import (ZERO_ONE, LossSpec, _rows,
+                                   gamma_biased_uniform, loss_value,
+                                   potential_minimal, potential_zeroone_dp)
+
+
+def potential_oracle_bruteforce(b, loss, t, s):
+    """Exact E[L(end state)] by enumerating all k^t walk paths."""
+    bv = _rows(b)
+    k = len(bv)
+    if t > 8 or k > 5:
+        raise ValueError("brute-force oracle capped at t <= 8, k <= 5")
+    s = np.asarray(s, dtype=float)
+    total = 0.0
+    for path in itertools.product(range(k), repeat=t):
+        prob = 1.0
+        end = s.copy()
+        for step in path:
+            prob *= bv[step]
+            end[step] += 1.0
+        if prob:
+            total += prob * loss_value(loss, end)
+    return total
+
+
+def kappa(gamma, eta, k):
+    """Per-round drop factor of the uniform-baseline exponential potential."""
+    return (1.0 + ((1.0 - gamma) / k) * (math.exp(eta) + math.exp(-eta) - 2.0)
+            - (1.0 - math.exp(-eta)) * gamma)
+
+
+def minimal_vs_fixed_gap(gamma, T, k):
+    """(phi_T(0), max_b phi^b_T(0)) under ZERO_ONE; the fixed maximum is
+    taken at the gamma-biased uniform b."""
+    loss = LossSpec(ZERO_ONE)
+    zero = np.zeros(k, dtype=int)
+    minimal, _ = potential_minimal(gamma, loss, T, zero)
+    fixed = potential_zeroone_dp(gamma_biased_uniform(k, gamma), T, zero)
+    return minimal, fixed
+
+
+def drop_factor_exact(A_plus, A_minus, Z_prev, delta):
+    """Exact per-round loss drop under the EXACT step rule:
+    (1 - c) + sqrt(c^2 - delta^2) with c = (A_plus + A_minus)/Z_prev.
+    Always <= sqrt(1 - delta^2)."""
+    if not 0.0 <= A_minus <= A_plus <= Z_prev:
+        raise ValueError("need 0 <= A_minus <= A_plus <= Z_prev")
+    if abs(delta - (A_plus - A_minus) / Z_prev) > 1e-9:
+        raise ValueError("delta inconsistent with (A_plus - A_minus)/Z_prev")
+    c = (A_plus + A_minus) / Z_prev
+    return (1.0 - c) + math.sqrt(max(c * c - delta * delta, 0.0))
+
+
+def table_potential(b, left, s):
+    """V(s) with `left` rounds to go under the shared baseline row b
+    (true label first, equal wrong-label entries), by recursion over the
+    states s (true label first) in zeroone_table's operation order: the
+    k - 1 wrong children's values added in sorted order, then b_1 times
+    the true child's value plus b_2 times that sum. A state that some
+    wrong label leads by `left` or more reads 1.0, and one that every
+    wrong label trails by more than `left` reads 0.0."""
+    d = tuple(sorted(int(x) - int(s[0]) for x in s[1:]))
+    return _table_value(float(b[0]), float(b[1]), left, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_value(b1, bw, left, d):
+    if d[-1] >= left:
+        return 1.0
+    if d[-1] < -left:
+        return 0.0
+    true = _table_value(b1, bw, left - 1, tuple(x - 1 for x in d))
+    wrong = None
+    for p in range(len(d)):
+        child = tuple(sorted(d[:p] + (d[p] + 1,) + d[p + 1:]))
+        value = _table_value(b1, bw, left - 1, child)
+        wrong = value if wrong is None else wrong + value
+    return b1 * true + bw * wrong

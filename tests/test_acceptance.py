@@ -28,6 +28,8 @@ from driftboost import potentials as pot
 from driftboost.core import exp_risk, training_error
 from driftboost.weaklearners import BestResponseLearner
 
+import oracles
+
 ZO = pot.LossSpec(pot.ZERO_ONE)
 
 
@@ -72,7 +74,7 @@ def test_criterion_02_oracle_equivalence():
         s = tuple(rng.randrange(0, 4) for _ in range(k))
         loss = ZO if rng.random() < 0.5 else pot.LossSpec(
             pot.EXP, rng.uniform(0.05, 1.0))
-        want = pot.potential_oracle_bruteforce(b, loss, t, s)
+        want = oracles.potential_oracle_bruteforce(b, loss, t, s)
         got = pot.potential_fixed(b, loss, t, s)
         assert got == pytest.approx(want, abs=1e-10)
     elapsed = time.monotonic() - t0
@@ -88,12 +90,12 @@ def test_criterion_03_kappa_grid_and_bound():
     for gamma in gammas:
         b = pot.gamma_biased_uniform(k, gamma)
         for eta in etas:
-            kap = pot.kappa(gamma, eta, k)
+            kap = oracles.kappa(gamma, eta, k)
             for t in (1, 4, 9):
                 want = kap ** t * pot.loss_value(pot.LossSpec(pot.EXP, eta), s)
                 got = pot.potential_exp_closed(b, eta, t, s)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        kap = pot.kappa(gamma, math.log(1 + gamma), k)
+        kap = oracles.kappa(gamma, math.log(1 + gamma), k)
         for T in (1, 50, 200):
             lhs = (k - 1) * kap ** T
             rhs = (k - 1) * math.exp(-T * gamma ** 2 / 2)
@@ -123,7 +125,7 @@ def test_criterion_05_drop_factor_law():
         a_plus = rng.uniform(0, z)
         a_minus = rng.uniform(0, min(a_plus, z - a_plus))
         delta = (a_plus - a_minus) / z
-        fac = bst.drop_factor_exact(a_plus, a_minus, z, delta)
+        fac = oracles.drop_factor_exact(a_plus, a_minus, z, delta)
         assert fac <= math.sqrt(1 - delta ** 2) + 1e-9
     # every round of actual booster runs, both update rules
     runs = []
@@ -146,8 +148,8 @@ def test_criterion_05_drop_factor_law():
             ratio = r.Z_after / r.Z_prev
             assert ratio <= math.sqrt(1 - min(r.edge, 1.0) ** 2) + 1e-9
             if rule == "EXACT" and r.A_minus > 0:
-                want = bst.drop_factor_exact(r.A_plus, r.A_minus, r.Z_prev,
-                                             r.edge)
+                want = oracles.drop_factor_exact(r.A_plus, r.A_minus,
+                                                 r.Z_prev, r.edge)
                 assert ratio == pytest.approx(want, abs=1e-9)
             n_rounds += 1
     assert n_rounds > 50

@@ -20,6 +20,8 @@ from driftboost.weaklearners import (BestResponseLearner,
                                      FullSpaceBestResponse, TreeLearner,
                                      best_response)
 
+import oracles
+
 ZO = pot.LossSpec(pot.ZERO_ONE)
 
 
@@ -142,10 +144,11 @@ class TestEdgeMinimal:
 
 class TestDropFactor:
     def test_no_minus_mass(self):
-        assert bst.drop_factor_exact(0.4, 0.0, 1.0, 0.4) == pytest.approx(0.6)
+        assert oracles.drop_factor_exact(0.4, 0.0, 1.0, 0.4) == \
+            pytest.approx(0.6)
 
     def test_annihilation(self):
-        assert bst.drop_factor_exact(1.0, 0.0, 1.0, 1.0) == 0.0
+        assert oracles.drop_factor_exact(1.0, 0.0, 1.0, 1.0) == 0.0
 
     def test_bound_random_triples(self):
         rng = random.Random(77)
@@ -155,16 +158,16 @@ class TestDropFactor:
             # A+ and A- are disjoint parts of Z's mass, so A+ + A- <= Z
             a_minus = rng.uniform(0, min(a_plus, z - a_plus))
             delta = (a_plus - a_minus) / z
-            fac = bst.drop_factor_exact(a_plus, a_minus, z, delta)
+            fac = oracles.drop_factor_exact(a_plus, a_minus, z, delta)
             assert 0.0 <= fac <= math.sqrt(1 - delta ** 2) + 1e-12
 
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
-            bst.drop_factor_exact(0.2, 0.5, 1.0, -0.3)  # A- > A+
+            oracles.drop_factor_exact(0.2, 0.5, 1.0, -0.3)  # A- > A+
         with pytest.raises(ValueError):
-            bst.drop_factor_exact(2.0, 0.5, 1.0, 1.5)  # A+ > Z
+            oracles.drop_factor_exact(2.0, 0.5, 1.0, 1.5)  # A+ > Z
         with pytest.raises(ValueError):
-            bst.drop_factor_exact(0.5, 0.2, 1.0, 0.0)  # inconsistent delta
+            oracles.drop_factor_exact(0.5, 0.2, 1.0, 0.0)  # inconsistent delta
 
 
 class TestTransform:
@@ -290,15 +293,32 @@ def per_row_key(B, d, t, i, state):
     return t, tuple(B.entries[i][order]), tuple(s - s[0])
 
 
-def per_row_potential(B, d, loss, t, i, state):
+def table_row(B, d, loss):
+    """The baseline row, true label first, when the OS booster reads its
+    potentials from one zero-one table (ZERO_ONE, one shared row, equal
+    wrong-label entries); None when it calls potential_fixed."""
+    if loss.kind != pot.ZERO_ONE:
+        return None
+    zero = np.zeros(d.k, dtype=int)
+    rows = {per_row_key(B, d, 0, i, zero)[1] for i in range(d.m)}
+    row = rows.pop()
+    return row if not rows and len(set(row[1:])) == 1 else None
+
+
+def per_row_potential(B, d, loss, t, i, state, table):
+    """Row i's potential at state after t more rounds: the table
+    recursion if table, else potential_fixed."""
     t, b, s = per_row_key(B, d, t, i, state)
+    if table:
+        return oracles.table_potential(b, t, s)
     return pot.potential_fixed(np.array(b), loss, t, np.array(s))
 
 
 def check_os_run(monkeypatch, d, B, loss, T, learner):
-    """Run the OS booster with each C_t the learner receives and each
-    potential_fixed call recorded; compare them with per-row references."""
-    received, calls = [], []
+    """Run the OS booster with each C_t the learner receives, each
+    potential_fixed call and each table build recorded; compare them with
+    per-row references."""
+    received, calls, builds = [], [], []
 
     def recording_learner(dataset, C):
         received.append(C.copy())
@@ -308,25 +328,37 @@ def check_os_run(monkeypatch, d, B, loss, T, learner):
         calls.append(t)
         return pot.potential_fixed(b, loss, t, s)
 
+    def recording_table(b1, bw, k, T):
+        builds.append((b1, bw, k, T))
+        return pot.zeroone_table(b1, bw, k, T)
+
     monkeypatch.setattr(bst, "potential_fixed", recording_potential)
+    monkeypatch.setattr(bst, "zeroone_table", recording_table)
     run = bst.os_boost_fixed(d, B, loss, T, recording_learner)
     m, k = d.m, d.k
+    row = table_row(B, d, loss)
+
+    def ref(t, i, state):
+        return per_row_potential(B, d, loss, t, i, state, row is not None)
+
     s = np.zeros((m, k), dtype=int)
     assert run.extra["initial_potential"] == sum(
-        per_row_potential(B, d, loss, T, i, s[i]) for i in range(m)) / m
+        ref(T, i, s[i]) for i in range(m)) / m
     assert len(received) == len(run.rounds) == T
     for t, (C, r) in enumerate(zip(received, run.rounds)):
         rem = T - t - 1
         children = [[s[i] + np.eye(k, dtype=int)[l] for l in range(k)]
                     for i in range(m)]
-        want = [[per_row_potential(B, d, loss, rem, i, c)
-                 for c in children[i]] for i in range(m)]
+        want = [[ref(rem, i, c) for c in children[i]] for i in range(m)]
         assert C.tolist() == want
         s[np.arange(m), r.classifier.predict_all(d) - 1] += 1
         assert r.extra["avg_potential"] == sum(
-            per_row_potential(B, d, loss, rem, i, s[i]) for i in range(m)) / m
-    # one batch for the initial average, then one per round
-    assert calls == list(range(T, -1, -1))
+            ref(rem, i, s[i]) for i in range(m)) / m
+    if row is None:
+        # one batch for the initial average, then one per round
+        assert calls == list(range(T, -1, -1)) and builds == []
+    else:
+        assert calls == [] and builds == [(row[0], row[1], k, T)]
     return run
 
 
@@ -451,20 +483,26 @@ class TestOsBooster:
 class TestStateClasses:
     """A row's potentials depend only on its baseline row and its state,
     so the OS booster hands potential_fixed the k child states of one
-    row per (baseline row, state) class, and the rows read them back."""
+    row per (baseline row, state) class, and the rows read them back.
+    A zero-one run on U_gamma instead builds one table for the run."""
 
     def batch_sizes(self, monkeypatch, d, B, loss, T, learner):
-        """The run, and the number of (baseline row, state) pairs each
-        potential_fixed call received."""
-        sizes = []
+        """The run, the number of (baseline row, state) pairs each
+        potential_fixed call received, and the table builds' T."""
+        sizes, builds = [], []
 
         def recording(b, loss, t, s):
             shape = np.broadcast_shapes(np.shape(b), np.shape(s))
             sizes.append(int(np.prod(shape[:-1])))
             return pot.potential_fixed(b, loss, t, s)
 
+        def recording_table(b1, bw, k, T):
+            builds.append(T)
+            return pot.zeroone_table(b1, bw, k, T)
+
         monkeypatch.setattr(bst, "potential_fixed", recording)
-        return bst.os_boost_fixed(d, B, loss, T, learner), sizes
+        monkeypatch.setattr(bst, "zeroone_table", recording_table)
+        return bst.os_boost_fixed(d, B, loss, T, learner), sizes, builds
 
     @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
                              ids=["zeroone", "exp"])
@@ -475,8 +513,12 @@ class TestStateClasses:
         d = Dataset((rng.integers(0, 4, m),), rng.integers(1, k + 1, m), k)
         B = (pot.uniform_baseline(d, 0.1) if baseline == "uniform"
              else random_eor_baseline(d, 0.1, rng))
-        run, sizes = self.batch_sizes(monkeypatch, d, B, loss, T,
-                                      TreeLearner(3))
+        run, sizes, builds = self.batch_sizes(monkeypatch, d, B, loss, T,
+                                              TreeLearner(3))
+        if baseline == "uniform" and loss.kind == pot.ZERO_ONE:
+            assert sizes == [] and builds == [T]
+            return
+        assert builds == []
         s = np.zeros((m, k), dtype=int)
         classes = []
         for t in range(T + 1):

@@ -10,12 +10,13 @@ from driftboost import potentials as pot
 from driftboost.core import indexed_dataset
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
                                    MinimalPotential, check_eor_rows,
-                                   degree_map, gamma_biased_uniform, kappa,
-                                   loss_value, minimal_vs_fixed_gap,
-                                   potential_exp_closed, potential_fixed,
-                                   potential_minimal,
-                                   potential_oracle_bruteforce,
-                                   potential_zeroone_dp)
+                                   degree_map, gamma_biased_uniform,
+                                   loss_value, potential_exp_closed,
+                                   potential_fixed, potential_minimal,
+                                   potential_zeroone_dp, zeroone_table)
+
+from oracles import (kappa, minimal_vs_fixed_gap,
+                     potential_oracle_bruteforce, table_potential)
 
 ZO = LossSpec(ZERO_ONE)
 
@@ -150,6 +151,21 @@ class TestFixedPotential:
         b = gamma_biased_uniform(3, 0.0)
         assert potential_zeroone_dp(b, 2, (5, 0, 1)) == 0.0
 
+    # a state some wrong label led by t or more summed its lost mass, so
+    # it could read above 1 (1.0000000000000029 for the first one here)
+    def test_lost_state_is_exactly_one(self):
+        b = gamma_biased_uniform(4, 0.1)
+        assert potential_zeroone_dp(b, 10, (0, 12, 3, 1)) == 1.0
+        nrng = np.random.default_rng(3)
+        for k in range(3, 7):
+            for gamma in (0.0, 0.1, 0.3):
+                for t in (1, 7, 20, 40):
+                    s = nrng.integers(0, t + 4, (60, k))
+                    s[:, 1] = s[:, 0] + t + nrng.integers(0, 4, 60)
+                    got = potential_zeroone_dp(
+                        gamma_biased_uniform(k, gamma), t, s)
+                    assert got.tolist() == [1.0] * 60
+
     def test_zero_probability_entries_allowed(self):
         b = (0.5, 0.5, 0.0)
         got = potential_zeroone_dp(b, 4, (0, 0, 0))
@@ -169,6 +185,123 @@ def log_space_zeroone(b, t, s):
            + x1 * math.log(b[0]) + x2 * math.log(b[1]) + x3 * math.log(b[2]))
     lost = (s[0] + x1 <= s[1] + x2) | (s[0] + x1 <= s[2] + x3)
     return float(np.exp(log[lost]).sum())
+
+
+def table_child(children, t, s, u, l):
+    """State and table index after a vote for label l from state s with
+    index u at level t: a vote for wrong label l follows column
+    1 + (its count of smaller wrong labels)."""
+    col = 0 if l == 0 else 1 + int((s[1:] < s[l]).sum())
+    c = s.copy()
+    c[l] += 1
+    return c, int(children[t][u, col])
+
+
+def table_states(k, T, table):
+    """(t, s, u) for every state s reachable in t <= T rounds, one per
+    sorted difference vector, u its index at level t of the table."""
+    start, children, _ = table
+    level = {(0,) * (k - 1): (np.zeros(k, dtype=int), start)}
+    for t in range(T + 1):
+        yield from ((t, s, u) for s, u in level.values())
+        if t == T:
+            return
+        nxt = {}
+        for s, u in level.values():
+            for l in range(k):
+                c, v = table_child(children, t, s, u, l)
+                nxt.setdefault(tuple(sorted(c[1:] - c[0])), (c, v))
+        level = nxt
+
+
+def table_walks(k, T, table, nrng, walks):
+    """(s, u) arrays per level t along random T-round walks from state 0,
+    each walk voting by its own random label distribution, so that some
+    walks end far ahead, some far behind and some undecided."""
+    start, children, _ = table
+    levels = [([], []) for _ in range(T + 1)]
+    for p in nrng.dirichlet(np.full(k, 0.3), walks):
+        s, u = np.zeros(k, dtype=int), start
+        for t in range(T + 1):
+            levels[t][0].append(s)
+            levels[t][1].append(u)
+            if t < T:
+                s, u = table_child(children, t, s, u, nrng.choice(k, p=p))
+    return [(np.array(s), np.array(u)) for s, u in levels]
+
+
+class TestZeroOneTable:
+    """zeroone_table's potentials for a shared baseline row against the
+    path enumeration, the chain DP and the per-row recursion that
+    reproduces its operation order."""
+
+    def table(self, k, gamma, T):
+        b = gamma_biased_uniform(k, gamma).b
+        return b, zeroone_table(b[0], b[1], k, T)
+
+    @pytest.mark.parametrize("k, T", [(2, 8), (3, 8), (4, 8), (5, 6)])
+    def test_matches_path_enumeration(self, k, T):
+        b, table = self.table(k, 0.2, T)
+        for t, s, u in table_states(k, T, table):
+            want = potential_oracle_bruteforce(b, ZO, T - t, s)
+            assert table[2][t][u] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_chain_dp(self, k, gamma):
+        """The states of 40 random walks through a T = 40 table against
+        the chain DP; decided states read exactly 0.0 and 1.0."""
+        T = 40
+        b, table = self.table(k, gamma, T)
+        walks = table_walks(k, T, table, np.random.default_rng(k), 40)
+        seen = np.zeros(2, dtype=int)
+        for t, (s, u) in enumerate(walks):
+            got = table[2][t][u]
+            np.testing.assert_allclose(got, potential_zeroone_dp(b, T - t, s),
+                                       rtol=0, atol=1e-13)
+            top = (s[:, 1:] - s[:, :1]).max(axis=1)
+            lost, won = top >= T - t, top < t - T
+            assert (got[lost] == 1.0).all() and (got[won] == 0.0).all()
+            assert ((got > 0.0) & (got < 1.0))[~lost & ~won].all()
+            seen += lost.sum(), won.sum()
+        assert seen.min() > 0
+
+    @pytest.mark.parametrize("k, T", [(2, 15), (3, 14), (4, 12), (5, 10)])
+    def test_is_the_per_row_recursion(self, k, T):
+        b, table = self.table(k, 0.1, T)
+        got = [table[2][t][u] for t, s, u in table_states(k, T, table)]
+        assert got == [table_potential(b, T - t, s)
+                       for t, s, _ in table_states(k, T, table)]
+
+    def test_no_rounds(self):
+        start, children, values = zeroone_table(0.6, 0.4, 2, 0)
+        assert (start, children) == (1, [])
+        assert values[0][start] == 1.0
+
+    def test_wide_codes_are_exact(self, monkeypatch):
+        """k = 12, T = 30: eleven sorted differences in [-31, 29] pass
+        2^62 in mixed radix, so the packed prefix must be re-ranked on
+        the way; every int key that is ranked stays in [0, 2^62]."""
+        ranked = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "i":
+                ranked.append((int(np.min(a, initial=0)),
+                               int(np.max(a, initial=0))))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        b, table = self.table(12, 0.1, 30)
+        monkeypatch.undo()
+        # one final ranking per level, and re-ranks on top
+        assert len(ranked) > 31
+        assert all(0 <= lo and hi <= 2 ** 62 for lo, hi in ranked)
+        walks = table_walks(12, 30, table, np.random.default_rng(12), 10)
+        for t, (s, u) in enumerate(walks):
+            np.testing.assert_allclose(table[2][t][u],
+                                       potential_zeroone_dp(b, 30 - t, s),
+                                       rtol=0, atol=1e-13)
 
 
 class TestLongWalks:

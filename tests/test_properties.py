@@ -14,6 +14,8 @@ from driftboost import harness as hz
 from driftboost import potentials as pot
 from driftboost.weaklearners import greedy_tree, tree_from_dict
 
+import oracles
+
 NUMERIC_CELLS = st.one_of(
     st.integers(-5, 5).map(str),
     st.floats(-10, 10, allow_nan=False, allow_infinity=False).map(repr))
@@ -148,6 +150,6 @@ def potential_batches(draw):
 def test_potential_batches_match_path_enumeration(case, loss):
     b, s, t = case
     got = pot.potential_fixed(b, loss, t, s)
-    want = [pot.potential_oracle_bruteforce(bi, loss, t, si)
+    want = [oracles.potential_oracle_bruteforce(bi, loss, t, si)
             for bi, si in zip(b, s)]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)

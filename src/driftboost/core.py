@@ -28,12 +28,15 @@ def is_finite(number):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    columns: tuple      # one 1-D array per feature (numeric or str dtype)
+    columns: tuple      # one 1-D array per feature: int, float64 or str
     labels: np.ndarray  # int labels in {1..k}
     k: int
 
     def __post_init__(self):
-        columns = tuple(np.asarray(col) for col in self.columns)
+        # float columns become float64: tree thresholds are float64
+        # midpoints, which a narrower column would round when compared
+        columns = tuple(col.astype(float, copy=False) if col.dtype.kind == "f"
+                        else col for col in map(np.asarray, self.columns))
         labels = np.asarray(self.labels, dtype=int)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "labels", labels)
@@ -55,28 +58,16 @@ class Dataset:
         return len(self.labels)
 
     @cached_property
-    def orders(self):
-        """Per column, its stable argsort if numeric (None if
-        categorical), read-only: each column is sorted once per dataset."""
-        orders = tuple(np.argsort(col, kind="stable") if is_numeric(col)
-                       else None for col in self.columns)
-        for order in orders:
-            if order is not None:
-                order.setflags(write=False)
-        return orders
-
-    @cached_property
-    def categories(self):
-        """Per column, (its sorted distinct values, each row's index
-        into them) if categorical (None if numeric), read-only: each
-        column is ranked once per dataset."""
-        ranked = tuple(None if is_numeric(col)
-                       else np.unique(col, return_inverse=True)
-                       for col in self.columns)
-        for pair in filter(None, ranked):
-            for array in pair:
-                array.setflags(write=False)
-        return ranked
+    def ranking(self):
+        """(values, ranks): per column, its sorted distinct values, and a
+        (p, m) matrix of each row's index into them, so values[j][ranks[j]]
+        is column j. Read-only: each column is ranked once per dataset."""
+        pairs = [np.unique(col, return_inverse=True) for col in self.columns]
+        values = tuple(v for v, _ in pairs)
+        ranks = np.array([r for _, r in pairs], dtype=int).reshape(-1, self.m)
+        for array in (*values, ranks):
+            array.setflags(write=False)
+        return values, ranks
 
     @property
     def features(self):
@@ -150,12 +141,6 @@ class ScoringFunction:
         return f
 
 
-def plurality_predict(f):
-    """argmax_l f(i,l) per row of a score table; ties go to the lowest
-    label."""
-    return np.argmax(f, axis=1) + 1
-
-
 def training_error(f, dataset):
     """Fraction of examples with f(i,y_i) <= max wrong score (ties count),
     for the (m, k) score table f."""
@@ -195,32 +180,6 @@ class CostMatrix:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown cost family {self.family}")
-
-    def validate(self, labels, tol=1e-9):
-        """Check the family row constraints against true labels."""
-        c = np.asarray(self.entries, dtype=float)
-        m, k = c.shape
-        y = np.asarray(labels, dtype=int) - 1
-        idx = np.arange(m)
-        own = c[idx, y]
-        off = c[idx[:, None], wrong_labels(labels, k) - 1]
-        if self.family == "EOR":
-            ok = np.all(own[:, None] <= off + tol)
-        elif self.family == "SAM":
-            ok = (np.all(np.abs(own) <= tol)
-                  and np.all(off >= -tol)
-                  and np.all(np.abs(off - off[:, :1]) <= tol))
-        elif self.family == "M1":
-            ok = (np.all(own <= tol)
-                  and np.all(np.abs(off + own[:, None]) <= tol)
-                  and np.all(np.abs(off - off[:, :1]) <= tol))
-        elif self.family == "MH":
-            ok = np.all(own <= tol) and np.all(off >= -tol)
-        elif self.family == "MR":
-            ok = np.all(off >= -tol) and np.all(np.abs(c.sum(axis=1)) <= tol)
-        else:
-            ok = True
-        return bool(ok)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ def _parse_column(name, cells):
     """float() on every cell, or a categorical (str) column if any cell
     fails; non-finite numbers are rejected."""
     try:
-        values = np.array([float(v) for v in cells])
+        values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         return np.array(cells, dtype=str)
     finite = np.isfinite(values)

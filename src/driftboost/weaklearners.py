@@ -4,8 +4,7 @@ size-capped trees (a stump has size 3) that minimize summed cost."""
 
 import numpy as np
 
-from .core import (TableClassifier, WeakClassifier, is_finite, is_numeric,
-                   prediction_matrix)
+from .core import WeakClassifier, is_finite, is_numeric, prediction_matrix
 
 
 def _argmin_cost(P, C):
@@ -43,14 +42,6 @@ class BestResponseLearner:
 
     def __call__(self, dataset, C):
         return self.space[_argmin_cost(self.matrix(dataset), C)]
-
-
-class FullSpaceBestResponse:
-    """Best response over the space of all k^m classifiers: the per-row
-    cost argmin, realized as a memorizing table classifier."""
-
-    def __call__(self, dataset, C):
-        return TableClassifier(np.argmin(C, axis=1) + 1)
 
 
 # ------------------------------------------------------------------ trees
@@ -170,52 +161,86 @@ class _Node:
         return Split(j, thr, numeric, self.left.freeze(), self.right.freeze())
 
 
-def _split_gains(node, dataset, c):
-    """[(column, numeric, thresholds, approximate gains)] of a leaf's
-    candidate splits, in (column, candidate) order. Child cost sums come
-    from prefix sums over the leaf sorted by the column (numeric) or
-    from per-category sums (categorical). The leaf's sorted order is the
-    dataset's one stable column order filtered to the leaf's members:
-    the same rows in the same order as a stable sort of the leaf. Its
-    categories are the codes present among its members, read from the
-    dataset's one ranking of the column, and each category's sum adds
-    the members' cost rows in member order. A numeric left count comes
-    from searchsorted, which reproduces `values <= thr` exactly even
-    where a midpoint rounds up to the next value."""
-    rows = c[node.members]
-    n, k = rows.shape
-    total = rows.sum(axis=0)
-    member = None
-    if n < dataset.m:
-        member = np.zeros(dataset.m, dtype=bool)
-        member[node.members] = True
-    out = []
-    for j, column in enumerate(dataset.columns):
-        numeric = is_numeric(column)
-        if numeric:
-            order = dataset.orders[j]
-            if member is not None:
-                order = order[member[order]]
-            ordered = column[order]
-            new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-            distinct = ordered[new]
-            # halves first: the sum of two large values overflows
-            thresholds = distinct[:-1] / 2 + distinct[1:] / 2
-            n_left = np.searchsorted(ordered, thresholds, side="right")
-            keep = (n_left > 0) & (n_left < n)
-            left = np.cumsum(c[order], axis=0)[n_left[keep] - 1]
-        else:
-            thresholds, codes = dataset.categories[j]
-            code = codes[node.members]
-            n_left = np.bincount(code, minlength=len(thresholds))
-            keep = (n_left > 0) & (n_left < n)
-            # each category's cost rows summed in member order
-            left = np.bincount((code[:, None] * k + np.arange(k)).ravel(),
-                               rows.ravel(), len(thresholds) * k)
-            left = left.reshape(-1, k)[keep]
-        gains = node.score - (left.min(axis=1) + (total - left).min(axis=1))
-        out.append((j, numeric, thresholds[keep], gains))
-    return out
+def _bins(dataset):
+    """The dataset's ranking laid out on one flat axis of bins: rank r of
+    column j is bin j * q + r, q the most distinct values in any column.
+    Returns q, whether each column is numeric, the (p, m) bins of the
+    rows, each bin's value as a float (NaN in categorical columns and
+    past a column's last value), and the last bin of the bin's run of
+    equal floats in its column: `values <= thr` compares as floats, and
+    int values beyond 2**53 can share one."""
+    values, ranks = dataset.ranking
+    p = len(values)
+    q = max(map(len, values), default=1)
+    numeric = np.array([is_numeric(v) for v in values], dtype=bool)
+    floats = np.full((p, q), np.nan)
+    for j in np.flatnonzero(numeric):
+        floats[j, :len(values[j])] = values[j]
+    run_end = np.ones((p, q), dtype=bool)
+    run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
+    ends = np.flatnonzero(run_end)
+    return (q, numeric, ranks + q * np.arange(p)[:, None], floats.ravel(),
+            ends[np.searchsorted(ends, np.arange(p * q))])
+
+
+def _split_gains(node, layout, cT):
+    """(approximate gains, first bins, thresholds) of a leaf's candidate
+    splits, in (column, candidate) order; a categorical candidate's
+    threshold is NaN, its category the value of its bin.
+
+    One pass scores every column: per label, one bincount adds the
+    members' costs into their (column, rank) bins in member order, and
+    one more counts them; a cumsum over the ranks of each numeric column
+    turns the bins into left sums. A numeric candidate lies between two
+    ranks present in the leaf, at the midpoint of their values; its left
+    side ends at the lower rank, or, where the midpoint rounds up to the
+    upper value, at the end of that value's run of equal floats, so the
+    left sum is that of `values <= thr` exactly. A categorical candidate
+    is one present rank. The left sums are gathered label-major, one
+    contiguous row of candidates per label, so the minima reduce along
+    the long axis."""
+    q, numeric, bins, floats, last = layout
+    k, n = len(cT), len(node.members)
+    # the root holds every row, in order: no gather
+    members = node.members if n < bins.shape[1] else slice(None)
+    flat = bins[:, members].ravel()
+    rows = cT[:, members]
+    weights = np.tile(rows, len(bins))
+    sums = np.empty((k + 1, len(floats)))
+    for label in range(k):
+        sums[label] = np.bincount(flat, weights[label], len(floats))
+    sums[k] = np.bincount(flat, minlength=len(floats))
+    present = np.flatnonzero(sums[k])
+    cube = sums.reshape(k + 1, len(bins), q)
+    cube[:, numeric] = np.cumsum(cube[:, numeric], axis=2)
+    lo, hi = present[:-1], present[1:]
+    # halves first: the sum of two large values overflows; a NaN midpoint
+    # (of a NaN value, or of -inf and inf) puts no row left
+    with np.errstate(invalid="ignore"):
+        thresholds = np.append(floats[lo] / 2 + floats[hi] / 2, np.nan)
+    end = np.append(np.where(thresholds[:-1] >= floats[hi], last[hi], lo),
+                    present[-1:])
+    col = present // q
+    proper = ((np.append(col[1:] == col[:-1], False) & ~np.isnan(thresholds))
+              | ~numeric[col])
+    keep = np.flatnonzero(proper & (sums[k, end] < n))
+    left = sums.take(end[keep], axis=1)[:k]
+    total = rows.sum(axis=1)[:, None]
+    gains = node.score - (left.min(axis=0) + (total - left).min(axis=0))
+    return gains, present[keep], thresholds[keep]
+
+
+def _shortlist(gains, eps):
+    """Indices, ascending, of the candidates whose approximate gain lies
+    in the top cluster: the gains above 1e-12 - eps (at or below it, no
+    exact gain exceeds 1e-12), from the largest down to the first gap
+    wider than 2 eps + 1e-12."""
+    alive = np.sort(gains[gains > 1e-12 - eps])
+    if not len(alive):
+        return []
+    gaps = np.flatnonzero(np.diff(alive) > 2 * eps + 1e-12)
+    return np.flatnonzero(gains >= alive[gaps[-1] + 1 if len(gaps) else 0]
+                          ).tolist()
 
 
 def greedy_tree(dataset, C, max_size):
@@ -231,63 +256,60 @@ def greedy_tree(dataset, C, max_size):
     only if its gain exceeds 1e-12 and the best so far by more than 1e-12.
 
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
-    2016, Alg. 1): each leaf scores all its candidates in one vectorised
-    pass when it joins the tree and keeps the gains, so an expansion
-    scans only the two new children. Each numeric column is sorted once
-    per dataset (Dataset.orders), and each categorical column ranked once
-    (Dataset.categories), not per leaf or per round: a leaf filters that
-    order, or those codes, to its members. Prefix sums add in another order,
-    so their gains only shortlist: the candidates whose approximate gain
-    lies in the top cluster (no gap wider than 2 eps + 1e-12, eps a
-    bound on the prefix-sum error) have their gains recomputed from the
-    members' own sums, and the rule above is replayed on them in order.
-    Every candidate left out is more than 1e-12 below every one kept, so
-    it could never win, and the tree equals that of a full scan."""
+    2016, Alg. 1), binned by rank as in histogram split finding: every
+    column is ranked once per dataset (Dataset.ranking), and each leaf
+    scores all its candidates in one pass over its members' ranks when
+    it joins the tree (_split_gains) and keeps the gains, so an expansion
+    scans only the two new children. Binned and prefix sums add in
+    another order, so their gains only shortlist: the candidates whose
+    approximate gain lies in the top cluster (no gap wider than
+    2 eps + 1e-12, eps a bound on the sums' error) have their gains
+    recomputed from the members' own sums, and the rule above is
+    replayed on them in order. Every candidate left out is more than
+    1e-12 below every one kept, so it could never win, and the tree
+    equals that of a full scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = np.asarray(C, dtype=float)
+    layout = _bins(dataset)
+    q, numeric = layout[:2]
+    cT = np.ascontiguousarray(c.T)
     root = _Node(np.arange(dataset.m), c)
     # Error bound (u = 2^-53, n <= m rows, S = sum|c|): every sum of cost
-    # rows, prefix, per-category or a child's own, is off by at most n u S
-    # from the real sum. The approximate gain uses the left sum twice
-    # (right = total - left) and the total once, the exact gain the sums
-    # of its two children, and the roundings between add at most 7 u S,
-    # so the two gains differ by at most (4n + 7) u S. eps is about twice
-    # that bound.
+    # rows is off by at most n u S from the real sum if it adds at most n
+    # terms, whatever their order. A left sum adds each member's cost once:
+    # into its bin, then the bins of lower ranks (empty ones add 0); the
+    # total and a child's own sum add each member once too. The
+    # approximate gain uses the left sum twice (right = total - left) and
+    # the total once, the exact gain the sums of its two children, and the
+    # roundings between add at most 7 u S, so the two gains differ by at
+    # most (4n + 7) u S. eps is about twice that bound.
     eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * float(np.abs(c).sum())
     size = 1
     while size + 2 <= max_size:
-        chunks = []  # (leaf, column, numeric, thresholds), in replay order
-        gains = []
-        for leaf in root.leaves():
+        leaves = list(root.leaves())
+        for leaf in leaves:
             if leaf.candidates is None:
-                leaf.candidates = _split_gains(leaf, dataset, c)
-            for j, numeric, thresholds, g in leaf.candidates:
-                chunks.append((leaf, j, numeric, thresholds))
-                gains.append(g)
-        if not chunks:
-            break
-        ends = np.cumsum([len(g) for g in gains])
-        gains = np.concatenate(gains)
-        # a candidate at or below 1e-12 - eps cannot have a gain > 1e-12
-        alive = np.flatnonzero(gains > 1e-12 - eps)
-        ranked = alive[np.argsort(-gains[alive], kind="stable")]
-        gaps = np.flatnonzero(gains[ranked[:-1]] - gains[ranked[1:]]
-                              > 2 * eps + 1e-12)
-        shortlist = np.sort(ranked[:gaps[0] + 1] if len(gaps) else ranked)
+                leaf.candidates = _split_gains(leaf, layout, cT)
+        gains = np.concatenate([leaf.candidates[0] for leaf in leaves])
+        ends = np.cumsum([len(leaf.candidates[0]) for leaf in leaves])
         best = None  # (gain, leaf, split, left node, right node)
-        for i in shortlist.tolist():
-            q = int(np.searchsorted(ends, i, side="right"))
-            leaf, j, numeric, thresholds = chunks[q]
+        for i in _shortlist(gains, eps):
+            at = int(np.searchsorted(ends, i, side="right"))
+            leaf = leaves[at]
+            _, first, thresholds = leaf.candidates
+            i -= ends[at - 1] if at else 0
+            j, rank = divmod(int(first[i]), q)
             # a plain Python scalar, so that to_dict() holds JSON types
-            thr = thresholds[i - (ends[q - 1] if q else 0)].item()
+            thr = (thresholds[i] if numeric[j]
+                   else dataset.ranking[0][j][rank]).item()
             values = dataset.columns[j][leaf.members]
-            left = values <= thr if numeric else values == thr
+            left = values <= thr if numeric[j] else values == thr
             lw = _Node(leaf.members[left], c)
             rw = _Node(leaf.members[~left], c)
             gain = leaf.score - (lw.score + rw.score)
             if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                best = (gain, leaf, (j, thr, numeric), lw, rw)
+                best = (gain, leaf, (j, thr, bool(numeric[j])), lw, rw)
         if best is None:
             break
         _, leaf, split, lw, rw = best

@@ -1,6 +1,8 @@
 """Reference implementations that only the tests use: brute-force and
-closed-form potentials, the exact AdaBoost.MM drop factor, and a
-plain-Python recursion for the zero-one table of the OS booster."""
+closed-form potentials, the exact AdaBoost.MM drop factor, a
+plain-Python recursion for the zero-one table of the OS booster, the
+plurality vote, the cost-family row constraints and the best response
+over all k^m classifiers."""
 
 import functools
 import itertools
@@ -8,6 +10,7 @@ import math
 
 import numpy as np
 
+from driftboost.core import TableClassifier, wrong_labels
 from driftboost.potentials import (ZERO_ONE, LossSpec, _rows,
                                    gamma_biased_uniform, loss_value,
                                    potential_minimal, potential_zeroone_dp)
@@ -85,3 +88,44 @@ def _table_value(b1, bw, left, d):
         value = _table_value(b1, bw, left - 1, child)
         wrong = value if wrong is None else wrong + value
     return b1 * true + bw * wrong
+
+
+def plurality_predict(f):
+    """argmax_l f(i,l) per row of a score table; ties go to the lowest
+    label."""
+    return np.argmax(f, axis=1) + 1
+
+
+def validate_cost(cost, labels, tol=1e-9):
+    """Check a CostMatrix's family row constraints against true labels."""
+    c = np.asarray(cost.entries, dtype=float)
+    m, k = c.shape
+    y = np.asarray(labels, dtype=int) - 1
+    idx = np.arange(m)
+    own = c[idx, y]
+    off = c[idx[:, None], wrong_labels(labels, k) - 1]
+    if cost.family == "EOR":
+        ok = np.all(own[:, None] <= off + tol)
+    elif cost.family == "SAM":
+        ok = (np.all(np.abs(own) <= tol)
+              and np.all(off >= -tol)
+              and np.all(np.abs(off - off[:, :1]) <= tol))
+    elif cost.family == "M1":
+        ok = (np.all(own <= tol)
+              and np.all(np.abs(off + own[:, None]) <= tol)
+              and np.all(np.abs(off - off[:, :1]) <= tol))
+    elif cost.family == "MH":
+        ok = np.all(own <= tol) and np.all(off >= -tol)
+    elif cost.family == "MR":
+        ok = np.all(off >= -tol) and np.all(np.abs(c.sum(axis=1)) <= tol)
+    else:
+        ok = True
+    return bool(ok)
+
+
+class FullSpaceBestResponse:
+    """Best response over the space of all k^m classifiers: the per-row
+    cost argmin, realized as a memorizing table classifier."""
+
+    def __call__(self, dataset, C):
+        return TableClassifier(np.argmin(C, axis=1) + 1)

@@ -12,15 +12,15 @@ from driftboost import harness as hz
 from driftboost import potentials as pot
 from driftboost import weaklearners as wl
 from driftboost.core import (Baseline, Dataset, ScoringFunction,
-                             TableClassifier, exp_risk, indexed_dataset, plurality_predict,
+                             TableClassifier, exp_risk, indexed_dataset,
                              prediction_matrix, training_error,
                              wrong_labels)
 from driftboost.harness import random_dataset_space
-from driftboost.weaklearners import (BestResponseLearner,
-                                     FullSpaceBestResponse, TreeLearner,
+from driftboost.weaklearners import (BestResponseLearner, TreeLearner,
                                      best_response)
 
 import oracles
+from oracles import FullSpaceBestResponse, plurality_predict
 
 ZO = pot.LossSpec(pot.ZERO_ONE)
 

@@ -14,6 +14,8 @@ from driftboost.core import (Baseline, CostMatrix, TableClassifier,
                              indexed_dataset)
 from driftboost.harness import random_dataset_space
 
+from oracles import validate_cost
+
 
 @pytest.fixture
 def figure_one():
@@ -127,7 +129,7 @@ class TestSolveGame:
             assert rep.mixture.sum() == pytest.approx(1.0, abs=1e-9)
             assert rep.gap >= 0.0
             assert rep.gap < 1e-6  # exact LP: certificates nearly meet
-            assert rep.cost_matrix.validate(d.labels, tol=1e-7)
+            assert validate_cost(rep.cost_matrix, d.labels, tol=1e-7)
 
     def test_report_rejects_broken_invariants(self):
         cost = CostMatrix(np.zeros((1, 2)))
@@ -207,7 +209,7 @@ class TestWindowFixture:
 
     def test_cost_matrix_family(self):
         d, _, cost = hz.window_fixture(7, 0.2)
-        assert cost.validate(d.labels)
+        assert validate_cost(cost, d.labels)
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
@@ -502,7 +504,7 @@ class TestEorRows:
             lp = game_lp_per_row(space, d, "EOR-all", cond.baseline.entries)
             assert lp[0].shape[0] == m * (2 * k - 1)
             assert rep.value == pytest.approx(simplex_optimum(lp), abs=1e-7)
-            assert rep.cost_matrix.validate(d.labels)
+            assert validate_cost(rep.cost_matrix, d.labels)
 
 
 class TestIndependentSolve:

@@ -125,6 +125,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"column 'b'.*{cell}"):
             hz.load_csv(p)
 
+    def test_numeric_cells_parse_as_python_float(self, tmp_path):
+        # float()'s own syntax: surrounding spaces, digit underscores and
+        # exponents read as numbers; one "inf" rejects its column
+        p = tmp_path / "d.csv"
+        write_csv(p, [(" 2.5 ", "1_000", "1e3", "x"),
+                      ("-0", "2_5.0_1", "1E-2", "y")], header="a,b,c,label")
+        d, meta = hz.load_csv(p)
+        assert [col.tolist() for col in d.columns] == [
+            [2.5, -0.0], [1000.0, 25.01], [1000.0, 0.01]]
+        assert set(meta["kinds"].values()) == {"numeric"}
+        write_csv(p, [(" 2.5 ", "1_000", "inf", "x"), ("1", "2", "3", "y")],
+                  header="a,b,c,label")
+        with pytest.raises(ValueError,
+                           match="column 'c': non-finite value 'inf'"):
+            hz.load_csv(p)
+
     def test_columns_carry_their_kind(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [("x", 1, "u"), ("y", 2.5, "v"), ("x", 3, "u")])

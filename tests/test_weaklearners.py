@@ -11,10 +11,11 @@ from driftboost.boosters import os_boost_fixed
 from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
                              is_numeric)
 from driftboost.potentials import ZERO_ONE, LossSpec, uniform_baseline
-from driftboost.weaklearners import (BestResponseLearner,
-                                     FullSpaceBestResponse, Leaf, Split,
+from driftboost.weaklearners import (BestResponseLearner, Leaf, Split,
                                      TreeLearner, best_response, greedy_tree,
                                      tree_from_dict)
+
+from oracles import FullSpaceBestResponse
 
 
 def cost_of(h, C, dataset):
@@ -194,15 +195,16 @@ class TestStump:
 
 
 class TestPresort:
-    """Each numeric column of a dataset is sorted once; every leaf of
-    every round reads that one order."""
+    """Each column of a dataset is sorted once, by the one np.unique call
+    that ranks it; every leaf of every round reads that one ranking."""
 
     def training_set(self):
-        # int columns: the learner's own ranking of float gains is not
-        # a column sort, and is told apart by its dtype
+        # int32 and str columns: the program's own unique and sort calls
+        # (on gains, potential keys and bins) are float or int64, so a
+        # call on one of these dtypes ranks or sorts a column
         rng = np.random.default_rng(3)
         m = 300
-        full = Dataset((*rng.integers(0, 8, (3, m)),
+        full = Dataset((*rng.integers(0, 8, (3, m), dtype=np.int32),
                         np.array(list("abc"))[rng.integers(0, 3, m)]),
                        rng.integers(1, 5, m), 4)
         return full.subset(rng.permutation(m)[:240])
@@ -210,67 +212,41 @@ class TestPresort:
     @pytest.mark.parametrize("size", [3, 9])
     def test_os_run_sorts_each_column_once(self, monkeypatch, size):
         d = self.training_set()
-        sorted_ints = []
-        argsort = np.argsort
+        calls = []
 
-        def recording(a, *args, **kwargs):
-            if np.asarray(a).dtype.kind == "i":
-                sorted_ints.append(np.array(a))
-            return argsort(a, *args, **kwargs)
+        def recording(name):
+            real = getattr(np, name)
 
-        monkeypatch.setattr(np, "argsort", recording)
-        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
-                             20, TreeLearner(size))
-        assert len(run.rounds) == 20
-        numeric = [col for col in d.columns if is_numeric(col)]
-        assert len(sorted_ints) == len(numeric) == 3
-        for col, got in zip(numeric, sorted_ints):
-            assert np.array_equal(got, col)
+            def call(a, *args, **kwargs):
+                if np.asarray(a).dtype in (np.int32, d.columns[3].dtype):
+                    calls.append((name, np.array(a)))
+                return real(a, *args, **kwargs)
+            return call
 
-    @pytest.mark.parametrize("size", [3, 9])
-    def test_os_run_ranks_each_categorical_column_once(self, monkeypatch,
-                                                       size):
-        d = self.training_set()
-        ranked = []
-        unique = np.unique
-
-        def recording(a, *args, **kwargs):
-            if np.asarray(a).dtype.kind == "U":
-                ranked.append(np.array(a))
-            return unique(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", recording)
+        for name in ("unique", "argsort", "sort"):
+            monkeypatch.setattr(np, name, recording(name))
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
                              20, TreeLearner(size))
         assert len(run.rounds) == 20
         assert any(r.classifier.size > 1 for r in run.rounds)
-        categorical = [col for col in d.columns if not is_numeric(col)]
-        assert len(ranked) == len(categorical) == 1
-        assert np.array_equal(ranked[0], categorical[0])
+        assert [name for name, _ in calls] == ["unique"] * len(d.columns)
+        for col, (_, got) in zip(d.columns, calls):
+            assert np.array_equal(got, col)
 
-    def test_categories_are_cached_and_read_only(self):
+    def test_ranking_is_cached_and_read_only(self):
         d = self.training_set()
-        categories = d.categories
-        assert d.categories is categories
-        assert categories[:3] == (None, None, None)
-        values, codes = categories[3]
-        assert values.tolist() == sorted(set(d.columns[3].tolist()))
-        assert np.array_equal(values[codes], d.columns[3])
-        for array in (values, codes):
+        ranking = d.ranking
+        assert d.ranking is ranking
+        values, ranks = ranking
+        assert len(values) == len(ranks) == len(d.columns)
+        for col, vals, rank in zip(d.columns, values, ranks):
+            assert vals.tolist() == sorted(set(col.tolist()))
+            assert vals.dtype == col.dtype
+            assert np.array_equal(vals[rank], col)
+        for array in (*values, ranks):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0] = array[1]
-
-    def test_orders_are_cached_and_read_only(self):
-        d = self.training_set()
-        orders = d.orders
-        assert d.orders is orders
-        assert orders[3] is None
-        for col, order in zip(d.columns[:3], orders[:3]):
-            assert np.array_equal(order, np.argsort(col, kind="stable"))
-            assert not order.flags.writeable
-            with pytest.raises(ValueError):
-                order[0] = 0
+                array[0] = array[-1]
 
 
 # ------------------------------------------- reference split search
@@ -440,6 +416,103 @@ class TestSplitSearchMatchesFullScan:
         C = rng.normal(size=(300, 3))
         assert (greedy_tree(d, C, 9).to_dict()
                 == reference_greedy_tree(d, C, 9).to_dict())
+
+
+def stable_argsort_shortlist(gains, eps):
+    """The shortlist cut as the prefix-sum search first made it: a stable
+    argsort of the gains, descending, cut at the first wide gap."""
+    alive = np.flatnonzero(gains > 1e-12 - eps)
+    ranked = alive[np.argsort(-gains[alive], kind="stable")]
+    gaps = np.flatnonzero(gains[ranked[:-1]] - gains[ranked[1:]]
+                          > 2 * eps + 1e-12)
+    return np.sort(ranked[:gaps[0] + 1] if len(gaps) else ranked).tolist()
+
+
+class TestRankedSearchEdges:
+    @pytest.mark.parametrize("base, top", [(2 ** 60, 3), (2 ** 60 + 256, 256)])
+    def test_int_values_beyond_2_53(self, base, top):
+        # the three values share floats, and `values <= thr` compares as
+        # floats. From 2**60 every midpoint is the one shared float, so
+        # all rows go left and column 0 has no split; from 2**60 + 256 the
+        # first midpoint keeps two values left and the second rounds up to
+        # the top value, so column 0 has exactly one split
+        x = np.array([base, base + 1, base + top] * 4)
+        assert x.dtype == np.int64 and x[0] / 2 + x[1] / 2 == float(x[1])
+        labels = [1, 1, 2] * 4
+        y = np.array([0, 1, 5, 2, 3, 6, 4, 7, 8, 9, 10, 11.0])
+        d = Dataset((x, y), labels, 2)
+        C = -np.eye(2)[np.array(labels) - 1]
+        for size in (3, 5):
+            got = greedy_tree(d, C, size).to_dict()
+            assert got == reference_greedy_tree(d, C, size).to_dict()
+        assert got["feature"] == (1 if top == 3 else 0)
+
+    def test_float32_columns_split_as_float64(self):
+        # a float32 column kept its dtype, so `values <= thr` rounded the
+        # float64 midpoint of two adjacent float32 values to one of them
+        rng = np.random.default_rng(6)
+        a = np.float32(0.3)
+        for _ in range(50):
+            m = int(rng.integers(2, 30))
+            x = np.where(rng.random(m) < 0.5, a, np.nextafter(a, np.inf))
+            d = Dataset((x.astype(np.float32),
+                         rng.normal(size=m).astype(np.float32)),
+                        rng.integers(1, 3, m), 2)
+            assert [col.dtype for col in d.columns] == [float, float]
+            C = rng.normal(size=(m, 2))
+            assert (greedy_tree(d, C, 5).to_dict()
+                    == reference_greedy_tree(d, C, 5).to_dict())
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf])
+    def test_non_finite_values(self, special):
+        # NaN is never <= a threshold, and the midpoint of NaN, or of -inf
+        # and inf, is NaN, which puts no row left: no candidate. Columns x
+        # and -x put inf and -inf side by side in the bins
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            m = int(rng.integers(2, 20))
+            x = rng.choice([0.0, 1.0, 2.0, special, -special], m)
+            d = Dataset((rng.normal(size=m), x, -x), rng.integers(1, 3, m), 2)
+            C = rng.normal(size=(m, 2))
+            with np.errstate(invalid="ignore"):
+                want = reference_greedy_tree(d, C, 5).to_dict()
+            assert greedy_tree(d, C, 5).to_dict() == want
+
+    @pytest.mark.parametrize("columns, labels", [
+        ((), [1, 2, 3, 1]),
+        ((np.array([0.5]), np.array(["a"]), np.array([7])), [2])])
+    def test_no_columns_or_one_row_is_one_leaf(self, columns, labels):
+        d = Dataset(columns, labels, 3)
+        C = np.random.default_rng(4).normal(size=(d.m, 3))
+        for size in (1, 3, 9):
+            got = greedy_tree(d, C, size).to_dict()
+            assert got == reference_greedy_tree(d, C, size).to_dict()
+            assert list(got) == ["leaf"]
+
+    def test_equal_gains_shortlist_as_a_stable_argsort(self):
+        # copies of one column and integer costs: most gains tie exactly
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 6, 40)
+        cat = np.array(list("pqr"))[rng.integers(0, 3, 40)]
+        d = Dataset((x, x.astype(float), cat, x, cat), rng.integers(1, 4, 40),
+                    3)
+        C = rng.integers(-1, 2, (40, 3)).astype(float)
+        root = wl._Node(np.arange(40), C)
+        cT = np.ascontiguousarray(C.T)
+        gains = wl._split_gains(root, wl._bins(d), cT)[0]
+        assert len(gains) - len(np.unique(gains)) >= 15
+        assert np.count_nonzero(gains == gains.max()) >= 2
+        for eps in (0.0, 1e-9, 0.3, 1.0, 5.0):
+            assert (wl._shortlist(gains, eps)
+                    == stable_argsort_shortlist(gains, eps))
+        for size in (3, 7):
+            assert (greedy_tree(d, C, size).to_dict()
+                    == reference_greedy_tree(d, C, size).to_dict())
+        for _ in range(200):
+            gains = rng.integers(-4, 5, int(rng.integers(0, 30))) / 2
+            eps = float(rng.choice([0.0, 0.2, 0.5, 2.0]))
+            assert (wl._shortlist(gains, eps)
+                    == stable_argsort_shortlist(gains, eps))
 
 
 def test_greedy_tree_leaves_no_cyclic_garbage():

@@ -233,6 +233,53 @@ class TestPresort:
         for col, (_, got) in zip(d.columns, calls):
             assert np.array_equal(got, col)
 
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_os_run_ranks_each_categorical_column_once(self, monkeypatch,
+                                                       size):
+        d = self.training_set()
+        ranked = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "U":
+                ranked.append(np.array(a))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
+                             20, TreeLearner(size))
+        assert len(run.rounds) == 20
+        assert any(r.classifier.size > 1 for r in run.rounds)
+        categorical = [col for col in d.columns if not is_numeric(col)]
+        assert len(ranked) == len(categorical) == 1
+        assert np.array_equal(ranked[0], categorical[0])
+
+    def test_categories_are_cached_and_read_only(self):
+        # the categorical column's entry of the ranking: its categories
+        # and each row's code
+        d = self.training_set()
+        assert d.ranking is d.ranking
+        values, ranks = d.ranking
+        codes = ranks[3]
+        assert values[3].tolist() == sorted(set(d.columns[3].tolist()))
+        assert np.array_equal(values[3][codes], d.columns[3])
+        for array in (values[3], codes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    def test_orders_are_cached_and_read_only(self):
+        # a numeric column's ranks order its rows as a stable sort does
+        d = self.training_set()
+        assert d.ranking is d.ranking
+        _, ranks = d.ranking
+        for col, rank in zip(d.columns[:3], ranks[:3]):
+            assert np.array_equal(np.argsort(rank, kind="stable"),
+                                  np.argsort(col, kind="stable"))
+            assert not rank.flags.writeable
+            with pytest.raises(ValueError):
+                rank[0] = rank[1]
+
     def test_ranking_is_cached_and_read_only(self):
         d = self.training_set()
         ranking = d.ranking

@@ -126,29 +126,41 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     phi^{b_i}_{T-t-1}(s_t(i) + e_l), alpha_t = 1 (ZERO_ONE) or eta (EXP).
 
     Potentials index coordinate 1 = true label, so each row's baseline
-    and states are reordered true-label-first. When the loss is ZERO_ONE
-    and every row has the same baseline row with equal wrong-label
-    entries (U_gamma, for one), zeroone_table builds the run's
-    potentials once and each row walks its states down the table.
-    Otherwise a row's potentials depend only on its baseline row and its
-    state, so rows are grouped into classes keyed by (baseline row,
-    s_2..s_k), s_1 being the round less their sum, and each round
-    potential_fixed evaluates the k child states of one row per class as
-    one batch. Every row must lie in Delta_gamma^k for the first row's
-    gamma."""
+    and states are reordered true-label-first, and the states are kept
+    label-major: one (k, m) int array whose row p holds every example's
+    count at its p-th true-label-first position. One per-run index map
+    takes each (row, label) to its entry of that array, so C_t, the
+    votes and the final scores move between the two orders by flat
+    `take`s. When the loss is ZERO_ONE and every row has the same
+    baseline row with equal wrong-label entries (U_gamma, for one),
+    zeroone_table builds the run's potentials once and each row walks
+    its states down the table. Otherwise a row's potentials depend only
+    on its baseline row and its state, so rows are grouped into classes
+    keyed by (baseline row, s_2..s_k), s_1 being the round less their
+    sum, and each round potential_fixed evaluates the k child states of
+    one row per class as one batch. Every row must lie in
+    Delta_gamma^k for the first row's gamma. Averages of potentials add
+    the rows in order, one at a time."""
     m, k = dataset.m, dataset.k
-    rows = np.arange(m)[:, None]
+    rows = np.arange(m)
     order = true_label_first(dataset.labels, k) - 1
-    b = baseline.entries[rows, order]
+    b = baseline.entries[rows[:, None], order]
     gamma = float(b[0, 0] - b[0, 1:].max())
     # outside [0, 1), row 0 is in no Delta_gamma^k: checking at gamma = 0
     # names it, and still passes a rounding hair below 0
     check_eor_rows(b, gamma if 0.0 <= gamma < 1.0 else 0.0)
     alpha = loss.eta if loss.kind == EXP else 1.0
     # each row's baseline row id, and the first row of each id
-    _, first, brow = np.unique(b, axis=0, return_index=True,
-                               return_inverse=True)
-    s = np.zeros((m, k), dtype=int)
+    if (b == b[0]).all():
+        first, brow = np.zeros(1, dtype=int), np.zeros(m, dtype=int)
+    else:
+        _, first, brow = np.unique(b, axis=0, return_index=True,
+                                   return_inverse=True)
+    # at[i, l]: the flat index of (row i, label l) in a (k, m) array
+    # whose row p is true-label-first position p
+    at = np.empty((m, k), dtype=int)
+    at[rows[:, None], order] = np.arange(k) * m + rows[:, None]
+    s = np.zeros((k, m), dtype=int)
     table = (loss.kind == ZERO_ONE and len(first) == 1
              and bool((b[0, 1:] == b[0, 1]).all()))
     if table:
@@ -156,42 +168,46 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         node = np.full(m, start)
         phi = values[0][[start]]
     else:
-        phi = potential_fixed(b[first], loss, T, s[0])
+        phi = potential_fixed(b[first], loss, T, s[:, 0])
     rounds = []
-    initial = sum(phi[brow].tolist()) / m
+    initial = float(np.cumsum(phi[brow])[-1]) / m
     all_satisfied = True
     for t in range(T):
-        state = s[rows, order]
         if table:
             # a vote for a wrong label leads to child 1 + p for any sorted
             # position p of its value: p = the count of smaller ones
-            wrong = state[:, 1:]
-            rank = (wrong[:, :, None] > wrong[:, None, :]).sum(axis=2)
-            child = np.empty((m, k), dtype=int)
-            child[rows, order] = children[t][node[:, None],
-                                             np.insert(rank + 1, 0, 0, 1)]
-            C = values[t + 1][child]
+            wrong = s[1:]
+            cell = np.empty((k, m), dtype=int)
+            cell[0] = node * k
+            cell[1:] = cell[0] + 1
+            for other in wrong:
+                cell[1:] += wrong > other
+            child = children[t].take(cell)
+            P = values[t + 1].take(child)
         else:
-            C = np.empty((m, k))
-            rep, inverse = _classes(brow, len(first), state[:, 1:], t + 1)
-            kids = state[rep][:, None, :] + np.eye(k, dtype=int)
-            C[rows, order] = potential_fixed(b[rep][:, None], loss,
-                                             T - t - 1, kids)[inverse]
+            rep, inverse = _classes(brow, len(first), s[1:].T, t + 1)
+            kids = s[:, rep].T[:, None, :] + np.eye(k, dtype=int)
+            P = potential_fixed(b[rep][:, None], loss, T - t - 1,
+                                kids)[inverse].T
+        # P holds the (k, m) true-label-first potentials of the children
+        C = P.take(at)
         h = learner(dataset, C)
         preds = h.predict_all(dataset)
-        chosen = C[rows[:, 0], preds - 1]
+        picked = rows * k + preds - 1
+        chosen = C.take(picked)
         e = float((C * baseline.entries).sum()) - float(chosen.sum())
         if e < -1e-9:
             all_satisfied = False
-        s[rows[:, 0], preds - 1] += 1
+        vote = at.take(picked)
+        s.reshape(-1)[vote] += 1
         if table:
-            node = child[rows[:, 0], preds - 1]
+            node = child.take(vote)
         # s_{t+1}(i) = s_t(i) + e_{h(x_i)}: the chosen entries of C_t
-        avg = sum(chosen.tolist()) / m
+        avg = float(np.cumsum(chosen)[-1]) / m
         rounds.append(BoostRound(t + 1, h, e, alpha, 0.0, 0.0, preds=preds,
                                  extra={"avg_potential": avg}))
     # alpha * s ranks each row's labels as the summed table does
-    run = BoostRun(rounds, alpha * s,
+    run = BoostRun(rounds, alpha * s.take(at),
                    extra={"initial_potential": initial,
                           "condition_satisfied": all_satisfied})
     if all_satisfied:

@@ -74,6 +74,32 @@ class Dataset:
         """Row tuples of Python scalars, rebuilt from the columns."""
         return tuple(zip(*(col.tolist() for col in self.columns)))
 
+    @cached_property
+    def split_layout(self):
+        """The ranking laid out on one flat axis of bins: rank r of column
+        j is bin j * q + r, q the most distinct values in any column.
+        Returns q, whether each column is numeric, the (p, m) bins of the
+        rows, each bin's value as a float (NaN in categorical columns and
+        past a column's last value), and the last bin of the bin's run of
+        equal floats in its column: `values <= thr` compares as floats,
+        and int values beyond 2**53 can share one. Read-only, built once
+        per dataset."""
+        values, ranks = self.ranking
+        p = len(values)
+        q = max(map(len, values), default=1)
+        numeric = np.array([is_numeric(v) for v in values], dtype=bool)
+        floats = np.full((p, q), np.nan)
+        for j in np.flatnonzero(numeric):
+            floats[j, :len(values[j])] = values[j]
+        run_end = np.ones((p, q), dtype=bool)
+        run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
+        ends = np.flatnonzero(run_end)
+        layout = (numeric, ranks + q * np.arange(p)[:, None], floats.ravel(),
+                  ends[np.searchsorted(ends, np.arange(p * q))])
+        for array in layout:
+            array.setflags(write=False)
+        return (q, *layout)
+
     def subset(self, idx):
         """The examples idx, in that order."""
         idx = np.asarray(idx, dtype=int)
@@ -88,14 +114,15 @@ def indexed_dataset(labels, k):
 
 class WeakClassifier:
     """Deterministic map from examples to labels in {1..k}; trees write
-    the labels of rows idx into out by route(dataset, idx, out)."""
+    the labels of rows idx into out by route(dataset, idx, out), idx an
+    index array or slice(None) for every row."""
 
     def route(self, dataset, idx, out):
         raise NotImplementedError
 
     def predict_all(self, dataset):
         out = np.empty(dataset.m, dtype=int)
-        self.route(dataset, np.arange(dataset.m), out)
+        self.route(dataset, slice(None), out)
         return out
 
 
@@ -136,8 +163,9 @@ class ScoringFunction:
 
     def score_table(self, dataset):
         f = np.zeros((dataset.m, dataset.k))
+        rows = np.arange(dataset.m) * dataset.k - 1
         for h, alpha in self.provenance:
-            f[np.arange(dataset.m), h.predict_all(dataset) - 1] += alpha
+            f.reshape(-1)[rows + h.predict_all(dataset)] += alpha
         return f
 
 

@@ -5,6 +5,7 @@ digit floats, so identical seeds give byte-identical files.
 """
 
 import csv
+import gc
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ def _parse_column(name, cells):
     """float() on every cell, or a categorical (str) column if any cell
     fails; non-finite numbers are rejected."""
     try:
-        values = np.fromiter(map(float, cells), float, len(cells))
+        values = np.array(cells, dtype=float)
     except ValueError:
         return np.array(cells, dtype=str)
     finite = np.isfinite(values)
@@ -43,47 +44,67 @@ def load_csv(path, label_column=None, label_map=None):
     is numeric (float) if every cell parses as a finite float, else
     categorical (str). Labels are numbered 1..k by first appearance, or
     by `label_map` (name -> number, k = its size) when given, e.g. a
-    trained model's; a label it lacks is a ValueError.
+    trained model's; a label it lacks is a ValueError. Blank lines are
+    skipped; a record of another width than the header is a ValueError
+    naming its physical line.
 
     Returns (dataset, meta) with meta = {label_map, columns, kinds}."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        raw = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{ln}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            raw.append(row)
+    # the row lists live only for the parse; a collection would find
+    # nothing to free in them, so the collector waits until it ends
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            # one pass of the reader, blank records dropped
+            rows = list(filter(None, reader))
+        if set(map(len, rows)) - {len(header)}:
+            line, width = _misfit(path, len(header))
+            raise ValueError(f"{path}:{line}: expected {len(header)} "
+                             f"fields, got {width}")
+        cells = list(zip(*rows)) if rows else [()] * len(header)
+    finally:
+        if collecting:
+            gc.enable()
     if label_column is None:
         label_column = header[-1]
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header")
     li = header.index(label_column)
-    names = [row[li] for row in raw]
+    names = cells[li]
     if label_map is None:
-        label_map = {}
-        for v in names:
-            label_map.setdefault(v, len(label_map) + 1)
+        label_map = {v: n for n, v in enumerate(dict.fromkeys(names), 1)}
         if len(label_map) < 2:
             raise ValueError("dataset has a single class; need k >= 2")
     unknown = set(names) - label_map.keys()
     if unknown:
         raise ValueError(f"{path}: unknown label {min(unknown)!r}")
     feat_cols = [j for j in range(len(header)) if j != li]
-    columns = tuple(_parse_column(header[j], [row[j] for row in raw])
-                    for j in feat_cols)
-    dataset = Dataset(columns, [label_map[v] for v in names], len(label_map))
+    columns = tuple(_parse_column(header[j], cells[j]) for j in feat_cols)
+    dataset = Dataset(columns, list(map(label_map.__getitem__, names)),
+                      len(label_map))
     meta = {"label_map": label_map,
             "columns": [header[j] for j in feat_cols],
             "kinds": {header[j]: "numeric" if is_numeric(col)
                       else "categorical"
                       for j, col in zip(feat_cols, columns)}}
     return dataset, meta
+
+
+def _misfit(path, width):
+    """(first physical line, field count) of the first non-blank record
+    after the header whose field count is not width."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        line = reader.line_num + 1
+        for row in reader:
+            if row and len(row) != width:
+                return line, len(row)
+            line = reader.line_num + 1
 
 
 def split_dataset(dataset, ratio, seed):
@@ -141,20 +162,19 @@ def run_experiment(cfg):
     header_meta = [f"# config {json.dumps(logged, sort_keys=True)}",
                    f"# label_map {json.dumps(meta['label_map'], sort_keys=True)}"]
 
-    # per-round curves: the booster's own training predictions, and one
-    # prediction pass over the test rows
-    ftr = np.zeros((train.m, train.k))
-    fte = np.zeros((test.m, test.k))
+    # per-round curves on label-major (k, m) score tables: the booster's
+    # own training predictions, and one prediction pass over the test rows
+    ftr = np.zeros((train.k, train.m))
+    fte = np.zeros((test.k, test.m))
     lines = ["\t".join(("t", "delta", "alpha", "Z", "train_error",
                         "test_error"))]
     for r in run.rounds:
-        pte = r.classifier.predict_all(test)
-        ftr[np.arange(train.m), r.preds - 1] += r.alpha
-        fte[np.arange(test.m), pte - 1] += r.alpha
+        _vote(ftr, r.preds, r.alpha)
+        _vote(fte, r.classifier.predict_all(test), r.alpha)
         zcol = r.Z_prev if algo != "os" else r.extra.get("avg_potential", 0.0)
         lines.append("\t".join((str(r.t), fmt(r.edge), fmt(r.alpha),
-                                fmt(zcol), fmt(training_error(ftr, train)),
-                                fmt(training_error(fte, test)))))
+                                fmt(zcol), fmt(_error(ftr, train)),
+                                fmt(_error(fte, test)))))
     with open(os.path.join(outdir, "run.tsv"), "w") as fh:
         fh.write("\n".join(header_meta + lines) + "\n")
 
@@ -164,12 +184,11 @@ def run_experiment(cfg):
                          "tree": r.classifier.to_dict()}
                         for r in run.rounds]}
     with open(os.path.join(outdir, "model.json"), "w") as fh:
-        json.dump(model, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(model, sort_keys=True, indent=1) + "\n")
 
-    metrics = {"train_error": training_error(ftr, train),
-               "test_error": training_error(fte, test),
-               "train_exp_risk": exp_risk(ftr, train),
+    metrics = {"train_error": _error(ftr, train),
+               "test_error": _error(fte, test),
+               "train_exp_risk": exp_risk(ftr.T.copy(), train),
                "rounds_run": len(run.rounds),
                "separated": run.separated}
     with open(os.path.join(outdir, "metrics.tsv"), "w") as fh:
@@ -177,6 +196,22 @@ def run_experiment(cfg):
         for key in sorted(metrics):
             fh.write(f"{key}\t{fmt(metrics[key]) if isinstance(metrics[key], float) else metrics[key]}\n")
     return metrics
+
+
+def _vote(F, preds, alpha):
+    """Add alpha to the (k, m) score table F at each row's prediction."""
+    m = F.shape[1]
+    F.reshape(-1)[(preds - 1) * m + np.arange(m)] += alpha
+
+
+def _error(F, dataset):
+    """training_error of the (k, m) score table F: each row's true score
+    against the maximum of its k - 1 wrong scores, k rows reduced at
+    once."""
+    own = (dataset.labels - 1) * dataset.m + np.arange(dataset.m)
+    wrong = F.copy()
+    wrong.reshape(-1)[own] = -np.inf
+    return float(np.mean(F.take(own) <= wrong.max(axis=0)))
 
 
 def eval_model(model_path, data_path, label_column=None):

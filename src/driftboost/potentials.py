@@ -41,7 +41,11 @@ def loss_value(loss, s):
     diffs = [float(x - s[0]) for x in s[1:]]
     if loss.kind == ZERO_ONE:
         return 1.0 if max(diffs) >= 0.0 else 0.0
-    return float(sum(math.exp(loss.eta * d) for d in diffs))
+    # one at a time: from Python 3.12 on, sum() compensates float sums
+    total = 0.0
+    for d in diffs:
+        total += math.exp(loss.eta * d)
+    return total
 
 
 def check_gamma(gamma):

@@ -76,6 +76,11 @@ class Split(WeakClassifier):
         values = dataset.columns[self.feature][idx]
         left = (values <= self.threshold if self.numeric
                 else values == self.threshold)
+        if isinstance(self.left, Leaf) and isinstance(self.right, Leaf):
+            out[idx] = np.where(left, self.left.label, self.right.label)
+            return
+        if isinstance(idx, slice):
+            idx = np.arange(len(left))
         self.left.route(dataset, idx[left], out)
         self.right.route(dataset, idx[~left], out)
 
@@ -140,9 +145,12 @@ class _Node:
     __slots__ = ("members", "score", "label", "split", "left", "right",
                  "candidates")
 
-    def __init__(self, members, c):
+    def __init__(self, members, cT):
         self.members = members
-        totals = c[members].sum(axis=0)
+        # the root holds every row, in order: no gather; a cumsum along
+        # the label-major costs adds the members in order, one at a time
+        rows = cT if len(members) == cT.shape[1] else cT.take(members, 1)
+        totals = np.cumsum(rows, axis=1)[:, -1]
         self.label = int(np.argmin(totals)) + 1
         self.score = float(totals[self.label - 1])
         self.split = self.left = self.right = self.candidates = None
@@ -161,26 +169,8 @@ class _Node:
         return Split(j, thr, numeric, self.left.freeze(), self.right.freeze())
 
 
-def _bins(dataset):
-    """The dataset's ranking laid out on one flat axis of bins: rank r of
-    column j is bin j * q + r, q the most distinct values in any column.
-    Returns q, whether each column is numeric, the (p, m) bins of the
-    rows, each bin's value as a float (NaN in categorical columns and
-    past a column's last value), and the last bin of the bin's run of
-    equal floats in its column: `values <= thr` compares as floats, and
-    int values beyond 2**53 can share one."""
-    values, ranks = dataset.ranking
-    p = len(values)
-    q = max(map(len, values), default=1)
-    numeric = np.array([is_numeric(v) for v in values], dtype=bool)
-    floats = np.full((p, q), np.nan)
-    for j in np.flatnonzero(numeric):
-        floats[j, :len(values[j])] = values[j]
-    run_end = np.ones((p, q), dtype=bool)
-    run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
-    ends = np.flatnonzero(run_end)
-    return (q, numeric, ranks + q * np.arange(p)[:, None], floats.ravel(),
-            ends[np.searchsorted(ends, np.arange(p * q))])
+# floats in one block of columns' bin sums, and in its tiled costs
+BLOCK = 2 ** 18
 
 
 def _split_gains(node, layout, cT):
@@ -188,46 +178,57 @@ def _split_gains(node, layout, cT):
     splits, in (column, candidate) order; a categorical candidate's
     threshold is NaN, its category the value of its bin.
 
-    One pass scores every column: per label, one bincount adds the
+    The columns are scored in blocks, as many per block (at least one) as
+    keep its (k + 1) x bins sums and its k x (columns x members) tiled
+    costs under BLOCK floats, so memory stays bounded however wide the
+    data. One pass scores a block: per label, one bincount adds the
     members' costs into their (column, rank) bins in member order, and
-    one more counts them; a cumsum over the ranks of each numeric column
-    turns the bins into left sums. A numeric candidate lies between two
-    ranks present in the leaf, at the midpoint of their values; its left
-    side ends at the lower rank, or, where the midpoint rounds up to the
-    upper value, at the end of that value's run of equal floats, so the
-    left sum is that of `values <= thr` exactly. A categorical candidate
-    is one present rank. The left sums are gathered label-major, one
-    contiguous row of candidates per label, so the minima reduce along
-    the long axis."""
+    one more counts them; a cumsum over the ranks of each numeric
+    column turns the bins into left sums. A numeric candidate lies
+    between two ranks present in the leaf, at the midpoint of their
+    values; its left side ends at the lower rank, or, where the
+    midpoint rounds up to the upper value, at the end of that value's
+    run of equal floats, so the left sum is that of `values <= thr`
+    exactly. A categorical candidate is one present rank. The left
+    sums are gathered label-major, one contiguous row of candidates
+    per label, so the minima reduce along the long axis."""
     q, numeric, bins, floats, last = layout
     k, n = len(cT), len(node.members)
     # the root holds every row, in order: no gather
     members = node.members if n < bins.shape[1] else slice(None)
-    flat = bins[:, members].ravel()
     rows = cT[:, members]
-    weights = np.tile(rows, len(bins))
-    sums = np.empty((k + 1, len(floats)))
-    for label in range(k):
-        sums[label] = np.bincount(flat, weights[label], len(floats))
-    sums[k] = np.bincount(flat, minlength=len(floats))
-    present = np.flatnonzero(sums[k])
-    cube = sums.reshape(k + 1, len(bins), q)
-    cube[:, numeric] = np.cumsum(cube[:, numeric], axis=2)
-    lo, hi = present[:-1], present[1:]
-    # halves first: the sum of two large values overflows; a NaN midpoint
-    # (of a NaN value, or of -inf and inf) puts no row left
-    with np.errstate(invalid="ignore"):
-        thresholds = np.append(floats[lo] / 2 + floats[hi] / 2, np.nan)
-    end = np.append(np.where(thresholds[:-1] >= floats[hi], last[hi], lo),
-                    present[-1:])
-    col = present // q
-    proper = ((np.append(col[1:] == col[:-1], False) & ~np.isnan(thresholds))
-              | ~numeric[col])
-    keep = np.flatnonzero(proper & (sums[k, end] < n))
-    left = sums.take(end[keep], axis=1)[:k]
     total = rows.sum(axis=1)[:, None]
-    gains = node.score - (left.min(axis=0) + (total - left).min(axis=0))
-    return gains, present[keep], thresholds[keep]
+    width = max(1, BLOCK // ((k + 1) * max(n, q)))
+    parts = []
+    # one pass even without columns, so that the result has its dtypes
+    for j in range(0, max(len(bins), 1), width):
+        block = bins[j:j + width, members]
+        base, size = j * q, len(block) * q
+        flat = block.ravel() - base
+        weights = np.tile(rows, len(block))
+        sums = np.empty((k + 1, size))
+        for label in range(k):
+            sums[label] = np.bincount(flat, weights[label], size)
+        sums[k] = np.bincount(flat, minlength=size)
+        present = np.flatnonzero(sums[k]) + base
+        cube = sums.reshape(k + 1, len(block), q)
+        kinds = numeric[j:j + width]
+        cube[:, kinds] = np.cumsum(cube[:, kinds], axis=2)
+        lo, hi = present[:-1], present[1:]
+        # halves first: the sum of two large values overflows; a NaN
+        # midpoint (of a NaN value, or of -inf and inf) puts no row left
+        with np.errstate(invalid="ignore"):
+            thresholds = np.append(floats[lo] / 2 + floats[hi] / 2, np.nan)
+        end = np.append(np.where(thresholds[:-1] >= floats[hi], last[hi],
+                                 lo), present[-1:]) - base
+        col = present // q
+        proper = ((np.append(col[1:] == col[:-1], False)
+                   & ~np.isnan(thresholds)) | ~numeric[col])
+        keep = np.flatnonzero(proper & (sums[k, end] < n))
+        left = sums.take(end[keep], axis=1)[:k]
+        gains = node.score - (left.min(axis=0) + (total - left).min(axis=0))
+        parts.append((gains, present[keep], thresholds[keep]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _shortlist(gains, eps):
@@ -257,24 +258,25 @@ def greedy_tree(dataset, C, max_size):
 
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
     2016, Alg. 1), binned by rank as in histogram split finding: every
-    column is ranked once per dataset (Dataset.ranking), and each leaf
-    scores all its candidates in one pass over its members' ranks when
-    it joins the tree (_split_gains) and keeps the gains, so an expansion
-    scans only the two new children. Binned and prefix sums add in
-    another order, so their gains only shortlist: the candidates whose
-    approximate gain lies in the top cluster (no gap wider than
-    2 eps + 1e-12, eps a bound on the sums' error) have their gains
-    recomputed from the members' own sums, and the rule above is
-    replayed on them in order. Every candidate left out is more than
-    1e-12 below every one kept, so it could never win, and the tree
-    equals that of a full scan."""
+    column is ranked and laid out once per dataset
+    (Dataset.split_layout), and each leaf scores all its candidates in
+    blocks of columns over its members' ranks when it joins the tree
+    (_split_gains) and keeps the gains, so an expansion scans only the
+    two new children. Binned and prefix sums add in another order, so
+    their gains only shortlist: the candidates whose approximate gain
+    lies in the top cluster (no gap wider than 2 eps + 1e-12, eps a
+    bound on the sums' error) have their gains recomputed from the
+    members' own sums, and the rule above is replayed on them in
+    order. Every candidate left out is more than 1e-12 below every one
+    kept, so it could never win, and the tree equals that of a full
+    scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = np.asarray(C, dtype=float)
-    layout = _bins(dataset)
+    layout = dataset.split_layout
     q, numeric = layout[:2]
     cT = np.ascontiguousarray(c.T)
-    root = _Node(np.arange(dataset.m), c)
+    root = _Node(np.arange(dataset.m), cT)
     # Error bound (u = 2^-53, n <= m rows, S = sum|c|): every sum of cost
     # rows is off by at most n u S from the real sum if it adds at most n
     # terms, whatever their order. A left sum adds each member's cost once:
@@ -305,8 +307,8 @@ def greedy_tree(dataset, C, max_size):
                    else dataset.ranking[0][j][rank]).item()
             values = dataset.columns[j][leaf.members]
             left = values <= thr if numeric[j] else values == thr
-            lw = _Node(leaf.members[left], c)
-            rw = _Node(leaf.members[~left], c)
+            lw = _Node(leaf.members[left], cT)
+            rw = _Node(leaf.members[~left], cT)
             gain = leaf.score - (lw.score + rw.score)
             if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
                 best = (gain, leaf, (j, thr, bool(numeric[j])), lw, rw)

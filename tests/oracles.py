@@ -1,19 +1,63 @@
 """Reference implementations that only the tests use: brute-force and
 closed-form potentials, the exact AdaBoost.MM drop factor, a
 plain-Python recursion for the zero-one table of the OS booster, the
-plurality vote, the cost-family row constraints and the best response
-over all k^m classifiers."""
+plurality vote, the cost-family row constraints, the best response
+over all k^m classifiers, a run's error curves recomputed round by
+round, and a float sum that adds one value at a time."""
 
 import functools
 import itertools
+import json
 import math
+import operator
+import os
 
 import numpy as np
 
-from driftboost.core import TableClassifier, wrong_labels
+from driftboost.core import (TableClassifier, exp_risk, training_error,
+                             wrong_labels)
+from driftboost.harness import load_csv, split_dataset
 from driftboost.potentials import (ZERO_ONE, LossSpec, _rows,
                                    gamma_biased_uniform, loss_value,
                                    potential_minimal, potential_zeroone_dp)
+from driftboost.weaklearners import tree_from_dict
+
+
+def sequential_sum(values):
+    """The floats added one at a time, left to right, from 0.0: what
+    sum() gave before Python 3.12 began to compensate."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def run_curves(out):
+    """The error curves and metrics of a run_experiment output directory,
+    recomputed round by round on row-major (m, k) score tables with
+    training_error: the config from run.tsv's header, the trees and
+    weights from model.json. "ties" counts the (round, training row)
+    pairs whose true score equals their largest wrong score."""
+    with open(os.path.join(out, "run.tsv")) as fh:
+        cfg = json.loads(fh.readline().split(" ", 2)[2])
+    with open(os.path.join(out, "model.json")) as fh:
+        model = json.load(fh)
+    dataset, _ = load_csv(cfg["data"], cfg.get("label"))
+    parts = split_dataset(dataset, cfg.get("split", 0.8), cfg.get("seed", 0))
+    tables = [np.zeros((part.m, part.k)) for part in parts]
+    curves = {"train_error": [], "test_error": [], "ties": 0}
+    for r in model["rounds"]:
+        tree = tree_from_dict(r["tree"], dataset)
+        for name, part, f in zip(("train_error", "test_error"), parts,
+                                 tables):
+            f[np.arange(part.m), tree.predict_all(part) - 1] += r["alpha"]
+            curves[name].append(training_error(f, part))
+        train, f = parts[0], tables[0]
+        y = train.labels - 1
+        wrong = np.where(np.arange(train.k) == y[:, None], -np.inf, f)
+        curves["ties"] += int(np.count_nonzero(
+            f[np.arange(train.m), y] == wrong.max(axis=1)))
+    curves["metrics"] = {"train_error": training_error(tables[0], parts[0]),
+                         "test_error": training_error(tables[1], parts[1]),
+                         "train_exp_risk": exp_risk(tables[0], parts[0])}
+    return curves
 
 
 def potential_oracle_bruteforce(b, loss, t, s):

@@ -342,7 +342,7 @@ def check_os_run(monkeypatch, d, B, loss, T, learner):
         return per_row_potential(B, d, loss, t, i, state, row is not None)
 
     s = np.zeros((m, k), dtype=int)
-    assert run.extra["initial_potential"] == sum(
+    assert run.extra["initial_potential"] == oracles.sequential_sum(
         ref(T, i, s[i]) for i in range(m)) / m
     assert len(received) == len(run.rounds) == T
     for t, (C, r) in enumerate(zip(received, run.rounds)):
@@ -352,7 +352,7 @@ def check_os_run(monkeypatch, d, B, loss, T, learner):
         want = [[ref(rem, i, c) for c in children[i]] for i in range(m)]
         assert C.tolist() == want
         s[np.arange(m), r.classifier.predict_all(d) - 1] += 1
-        assert r.extra["avg_potential"] == sum(
+        assert r.extra["avg_potential"] == oracles.sequential_sum(
             ref(rem, i, s[i]) for i in range(m)) / m
     if row is None:
         # one batch for the initial average, then one per round
@@ -374,6 +374,43 @@ def random_eor_baseline(d, gamma, rng):
     return cnd.eor_baseline(d, rows, gamma)
 
 
+class TestSequentialSums:
+    """Float sums add one value at a time, in order, whatever the Python
+    version: from 3.12 on, sum() compensates. Each case holds values
+    whose correctly rounded sum differs from the sequential one."""
+
+    def test_exp_loss_adds_in_label_order(self):
+        terms = [1.0, math.exp(-37.0), math.exp(-37.0)]
+        assert math.fsum(terms) != oracles.sequential_sum(terms)
+        got = pot.loss_value(pot.LossSpec(pot.EXP, 1.0), [0, 0, -37, -37])
+        assert got == oracles.sequential_sum(terms) == 1.0
+
+    def test_os_averages_add_rows_in_order(self):
+        m, T, loss = 10, 3, pot.LossSpec(pot.EXP, 0.2)
+        d = indexed_dataset([i % 3 + 1 for i in range(m)], 3)
+        B = pot.uniform_baseline(d, 0.1)
+        received = []
+
+        def learner(dataset, C):
+            received.append(C.copy())
+            return FullSpaceBestResponse()(dataset, C)
+
+        run = bst.os_boost_fixed(d, B, loss, T, learner)
+        # row 0 has label 1, so its baseline row is true label first
+        phi = [float(pot.potential_fixed(B.entries[0], loss, T,
+                                         np.zeros(3, dtype=int)))] * m
+        assert math.fsum(phi) != oracles.sequential_sum(phi)
+        assert run.extra["initial_potential"] == \
+            oracles.sequential_sum(phi) / m
+        differ = []
+        for C, r in zip(received, run.rounds):
+            chosen = C[np.arange(m), r.preds - 1].tolist()
+            differ.append(math.fsum(chosen) != oracles.sequential_sum(chosen))
+            assert r.extra["avg_potential"] == \
+                oracles.sequential_sum(chosen) / m
+        assert any(differ)
+
+
 class TestOsBooster:
     @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
                              ids=["zeroone", "exp"])
@@ -387,6 +424,22 @@ class TestOsBooster:
              "random": lambda: random_eor_baseline(
                  d, 0.1, np.random.default_rng(5))}[baseline]()
         check_os_run(monkeypatch, d, B, loss, 6, BestResponseLearner(space))
+        # k = 5 and 6, votes for labels 1..3 only: the other wrong labels
+        # keep tied counts, and the voted ones tie and part round by round
+        rng = np.random.default_rng(21)
+        for k in (5, 6):
+            d = indexed_dataset([i % k + 1 for i in range(m)], k)
+            B = {"uniform": lambda: pot.uniform_baseline(d, 0.1),
+                 "window": lambda: window_eor_baseline(d, m, gp, k),
+                 "random": lambda: random_eor_baseline(d, 0.1, rng)
+                 }[baseline]()
+            votes = iter(rng.integers(1, 4, (6, m)))
+            run = check_os_run(monkeypatch, d, B, loss, 6,
+                               lambda dataset, C: TableClassifier(next(votes)))
+            wrong = np.sort(run.f[~np.eye(k, dtype=bool)[d.labels - 1]]
+                            .reshape(m, k - 1), axis=1)
+            assert (np.diff(wrong, axis=1) == 0).any()
+            assert (np.diff(wrong, axis=1) > 0).any()
 
     @pytest.mark.parametrize("loss", [ZO, pot.LossSpec(pot.EXP, 0.2)],
                              ids=["zeroone", "exp"])

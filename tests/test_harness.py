@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import re
@@ -14,6 +15,8 @@ from driftboost.core import (Dataset, ScoringFunction, WeakClassifier,
                              exp_risk, training_error)
 from driftboost.potentials import EXP, ZERO_ONE, LossSpec
 from driftboost.weaklearners import tree_from_dict
+
+import oracles
 
 ZO = LossSpec(ZERO_ONE)
 
@@ -117,6 +120,56 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="empty"):
             hz.load_csv(p)
 
+    def test_quoted_cells_keep_commas_and_newlines(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('a,"b,c",label\n1,"x,\ny",u\n2,"say ""hi""",v\n')
+        d, meta = hz.load_csv(p)
+        assert meta["columns"] == ["a", "b,c"]
+        assert d.columns[1].tolist() == ["x,\ny", 'say "hi"']
+        assert d.labels.tolist() == [1, 2]
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,label\r\n1,u\r\n\r\n2.5,v\r\n")
+        d, meta = hz.load_csv(p)
+        assert d.columns[0].tolist() == [1.0, 2.5]
+        assert meta["label_map"] == {"u": 1, "v": 2}
+
+    def test_short_row_after_blank_lines_names_its_physical_line(self,
+                                                                 tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('a,label\n1,u\n\n\n"2\n",v\n\n3\n4,v\n')
+        with pytest.raises(ValueError, match=r"d\.csv:8: expected 2 "
+                                             r"fields, got 1$"):
+            hz.load_csv(p)
+
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,label\n")
+        with pytest.raises(ValueError, match="single class"):
+            hz.load_csv(p)
+        with pytest.raises(ValueError, match="at least one example"):
+            hz.load_csv(p, label_map={"u": 1, "v": 2})
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text", ["a,label\n1,u\n2\n",
+                                      "a,label\n1,u\n2,u\n",
+                                      "a,label\n1,u\n2,v\n"])
+    def test_collector_state_restored(self, tmp_path, enabled, text):
+        # malformed, single-class and good files alike
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                hz.load_csv(p)
+            except ValueError:
+                pass
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_numeric_rejected(self, tmp_path, cell):
@@ -158,6 +211,41 @@ class TestLoadCsv:
         assert meta["label_map"] == {"a": 1, "b": 2, "c": 3}
         with pytest.raises(ValueError, match="unknown label 'b'"):
             hz.load_csv(p, label_map={"a": 1, "c": 2})
+
+
+class TestRunCurves:
+    """run.tsv's error columns and metrics.tsv hold what a round-by-round
+    recomputation on row-major score tables gives (oracles.run_curves)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("algo", ["os", "mm-approx"])
+    def test_error_columns_match_the_row_major_oracle(self, tmp_path, algo,
+                                                      k):
+        rng = np.random.default_rng(k)
+        y = rng.integers(0, k, 80)
+        y[:k] = range(k)
+        # few distinct values: stumps are weak and scores tie
+        x = np.clip(y + rng.integers(-2, 3, (2, 80)), 0, k)
+        data = tmp_path / "d.csv"
+        write_csv(data, zip(*x, (f"c{v}" for v in y)))
+        out = tmp_path / "out"
+        # an edge of 0.4 keeps the OS booster from repeating one stump
+        metrics = hz.run_experiment({"data": str(data), "out": str(out),
+                                     "algo": algo, "gamma": 0.4,
+                                     "learner": "stump", "rounds": 8,
+                                     "split": 0.7, "seed": k})
+        want = oracles.run_curves(out)
+        body = [line.split("\t") for line in
+                (out / "run.tsv").read_text().splitlines()[3:]]
+        assert len(body) == metrics["rounds_run"] > 0
+        assert [float(r[4]) for r in body] == want["train_error"]
+        assert [float(r[5]) for r in body] == want["test_error"]
+        written = dict(line.split("\t") for line in
+                       (out / "metrics.tsv").read_text().splitlines()[2:])
+        for key, value in want["metrics"].items():
+            assert metrics[key] == float(written[key]) == value
+        if algo == "os":
+            assert want["ties"] > 0
 
 
 class TestSplit:

@@ -1,3 +1,4 @@
+import functools
 import gc
 
 import numpy as np
@@ -296,6 +297,41 @@ class TestPresort:
                 array[0] = array[-1]
 
 
+    def test_split_layout_is_cached_and_read_only(self):
+        d = self.training_set()
+        layout = d.split_layout
+        assert d.split_layout is layout
+        q, numeric, bins, floats, last = layout
+        values, ranks = d.ranking
+        assert q == max(map(len, values))
+        assert numeric.tolist() == [True, True, True, False]
+        assert np.array_equal(bins, ranks + q * np.arange(4)[:, None])
+        for j, vals in enumerate(values[:3]):
+            assert floats[j * q:j * q + len(vals)].tolist() == vals.tolist()
+        assert np.isnan(floats[3 * q:]).all()
+        for array in (numeric, bins, floats, last):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_os_run_lays_out_each_dataset_once(self, monkeypatch, size):
+        d = self.training_set()
+        built = []
+        layout = Dataset.split_layout.func
+
+        def recording(dataset):
+            built.append(dataset)
+            return layout(dataset)
+
+        monkeypatch.setattr(Dataset, "split_layout",
+                            functools.cached_property(recording))
+        Dataset.split_layout.__set_name__(Dataset, "split_layout")
+        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
+                             20, TreeLearner(size))
+        assert len(run.rounds) == 20
+        assert built == [d]
+
 # ------------------------------------------- reference split search
 
 def _leaf_score_cost(members, c):
@@ -465,6 +501,70 @@ class TestSplitSearchMatchesFullScan:
                 == reference_greedy_tree(d, C, 9).to_dict())
 
 
+class TestColumnBlocks:
+    """Columns scored in blocks of any width give the gains, and so the
+    trees, of one block holding every column."""
+
+    def test_one_column_per_block(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        problems = [random_problem(rng) for _ in range(200)]
+        whole = [greedy_tree(d, C, size).to_dict() for d, C, size in problems]
+        monkeypatch.setattr(wl, "BLOCK", 1)
+        for (d, C, size), want in zip(problems, whole):
+            assert greedy_tree(d, C, size).to_dict() == want
+            assert want == reference_greedy_tree(d, C, size).to_dict()
+
+    @pytest.mark.parametrize("block", [1, 300, 2000])
+    def test_block_gains_equal_one_pass(self, monkeypatch, block):
+        rng = np.random.default_rng(6)
+        d = Dataset((rng.integers(0, 9, 50), np.round(rng.normal(size=50), 1),
+                     np.array(list("xyz"))[rng.integers(0, 3, 50)],
+                     rng.normal(size=50)), rng.integers(1, 4, 50), 3)
+        C = rng.normal(size=(50, 3))
+        cT = np.ascontiguousarray(C.T)
+        node = wl._Node(np.flatnonzero(rng.random(50) < 0.7), cT)
+        want = wl._split_gains(node, d.split_layout, cT)
+        monkeypatch.setattr(wl, "BLOCK", block)
+        got = wl._split_gains(node, d.split_layout, cT)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def permuted_tree_problems(draw):
+    """A tree problem with integer costs, so that many gains and leaf
+    totals tie exactly, and a permutation of its rows."""
+    m, k = draw(st.integers(1, 30)), draw(st.integers(2, 4))
+
+    def column(cells):
+        return draw(st.lists(cells, min_size=m, max_size=m))
+
+    kinds = {"int": lambda: np.array(column(st.integers(-2, 2))),
+             "half": lambda: np.array(column(st.integers(-4, 4))) / 2,
+             "str": lambda: np.array(column(st.sampled_from(["a", "b"])))}
+    columns = tuple(kinds[kind]() for kind in draw(
+        st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4)))
+    labels = np.array(column(st.integers(1, k)))
+    C = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=k,
+                                        max_size=k),
+                               min_size=m, max_size=m)), dtype=float)
+    perm = np.array(draw(st.permutations(range(m))), dtype=int)
+    return Dataset(columns, labels, k), C, perm
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    @settings(max_examples=60, deadline=None)
+    @given(problem=permuted_tree_problems())
+    def test_permuting_rows_keeps_the_tree(self, size, problem):
+        d, C, perm = problem
+        shuffled = Dataset(tuple(col[perm] for col in d.columns),
+                           d.labels[perm], d.k)
+        assert (greedy_tree(shuffled, C[perm], size).to_dict()
+                == greedy_tree(d, C, size).to_dict())
+
+
 def stable_argsort_shortlist(gains, eps):
     """The shortlist cut as the prefix-sum search first made it: a stable
     argsort of the gains, descending, cut at the first wide gap."""
@@ -544,9 +644,9 @@ class TestRankedSearchEdges:
         d = Dataset((x, x.astype(float), cat, x, cat), rng.integers(1, 4, 40),
                     3)
         C = rng.integers(-1, 2, (40, 3)).astype(float)
-        root = wl._Node(np.arange(40), C)
         cT = np.ascontiguousarray(C.T)
-        gains = wl._split_gains(root, wl._bins(d), cT)[0]
+        root = wl._Node(np.arange(40), cT)
+        gains = wl._split_gains(root, d.split_layout, cT)[0]
         assert len(gains) - len(np.unique(gains)) >= 15
         assert np.count_nonzero(gains == gains.max()) >= 2
         for eps in (0.0, 1e-9, 0.3, 1.0, 5.0):

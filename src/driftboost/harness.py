@@ -248,27 +248,22 @@ def emit_potential_table(k, gamma, T_max, loss, include_minimal=False):
     if T_max < 0:
         raise ValueError("need rounds >= 0")
     b = potentials.gamma_biased_uniform(k, gamma)
-    zero = np.zeros(k, dtype=int)
-    table = (potentials.MinimalPotential(gamma, loss, k)
-             if include_minimal else None)
+    rounds, zero = range(T_max + 1), np.zeros((T_max + 1, k), dtype=int)
+    columns = [[potentials.potential_fixed(b, loss, T, zero[T])
+                for T in rounds]]
+    if include_minimal:
+        columns.append(potentials.minimal_sweep(gamma, loss, rounds, zero)[0])
     lines = [f"# potential_table k={k} gamma={fmt(gamma)} loss={loss.kind}",
              "T\tfixed" + ("\tminimal" if include_minimal else "")]
-    for T in range(T_max + 1):
-        val = potentials.potential_fixed(b, loss, T, zero)
-        row = f"{T}\t{fmt(val)}"
-        if include_minimal:
-            mval, _ = table.value_degree(T, zero)
-            row += f"\t{fmt(mval)}"
-        lines.append(row)
+    lines += ["\t".join([str(T)] + [fmt(c[T]) for c in columns])
+              for T in rounds]
     return "\n".join(lines) + "\n"
 
 
 def emit_degree_map(gamma, loss, T):
-    if T < 0:
-        raise ValueError("need rounds >= 0")
     rows = potentials.degree_map(gamma, loss, T)
     lines = [f"# degree_map gamma={fmt(gamma)} loss={loss.kind} "
-             f"eta={fmt(getattr(loss, 'eta', 0.0))} T={T}",
+             f"eta={fmt(loss.eta)} T={T}",
              "u\tv\tt\tdegree"]
     lines += [f"{u}\t{v}\t{t}\t{a}" for (u, v, t, a) in rows]
     return "\n".join(lines) + "\n"

@@ -6,10 +6,10 @@ depend on s only through s_l - s_1, and so do all potentials. The walk is
 also exchangeable in the wrong labels, so a fixed-baseline potential reads
 only b_1 and the multiset of pairs (b_l, s_l - s_1), l > 1: a batch keys
 each state by one int64 code of that multiset and evaluates each distinct
-key once, and the minimal solver memoizes sorted difference vectors.
-Under one baseline row (b_1, b_w, ..., b_w) shared by a whole run, the
-zero-one potentials of every state the run can reach come from one
-backward table over sorted difference vectors (zeroone_table).
+key once. The zero-one potentials of a whole run under one shared
+baseline row (zeroone_table) and the minimal-condition potential
+(minimal_sweep) each fill one backward sweep over levels of sorted
+difference vectors.
 """
 
 import math
@@ -212,6 +212,21 @@ def _settle(d, left):
     return index, d[rep]
 
 
+def _children(level):
+    """The k children of each row of ascending wrong-label differences
+    (n, k - 1), as n * k rows: a true-label vote, then a vote for each
+    position p, raising the last entry of p's run so the row stays sorted."""
+    n, w = level.shape
+    last = np.tile(np.arange(w), (n, 1))
+    for p in range(w - 2, -1, -1):
+        last[:, p] = np.where(level[:, p] == level[:, p + 1],
+                              last[:, p + 1], p)
+    kids = np.repeat(level[:, None], w + 1, axis=1)
+    kids[:, 0] -= 1
+    kids[np.arange(n)[:, None], np.arange(1, w + 1), last] += 1
+    return kids.reshape(-1, w)
+
+
 def zeroone_table(b1, bw, k, T):
     """Zero-one potentials of a whole T-round run under one baseline row
     (b1, bw, ..., bw) shared by every example.
@@ -231,19 +246,9 @@ def zeroone_table(b1, bw, k, T):
     start, level = _settle(np.zeros((1, k - 1), dtype), T)
     children = []
     for t in range(T):
-        n = len(level)
-        # a vote for position p raises the last entry of p's run of
-        # equal values, which keeps the row sorted
-        last = np.tile(np.arange(k - 1), (n, 1))
-        for p in range(k - 3, -1, -1):
-            last[:, p] = np.where(level[:, p] == level[:, p + 1],
-                                  last[:, p + 1], p)
-        kids = np.repeat(level[:, None], k, axis=1)
-        kids[:, 0] -= 1
-        kids[np.arange(n)[:, None], np.arange(1, k), last] += 1
-        index, level = _settle(kids.reshape(-1, k - 1), T - t - 1)
+        index, level = _settle(_children(level), T - t - 1)
         children.append(np.concatenate(([[0] * k, [1] * k],
-                                        index.reshape(n, k))))
+                                        index.reshape(-1, k))))
     values = [np.array([0.0, 1.0])]
     for child in reversed(children):
         nxt = values[-1]
@@ -256,82 +261,79 @@ def zeroone_table(b1, bw, k, T):
     return int(start[0]), children, values[::-1]
 
 
-class MinimalPotential:
-    """Minimal-condition potential phi_t(s) with degree annotations.
+STATE_CAP = 5_000_000
 
-    The recurrence maximizes over the degree a in {2..k}: the adversary's
-    distribution puts (1-gamma)/a + gamma on the true coordinate and
-    (1-gamma)/a on the a-1 wrong coordinates whose child potentials are
-    largest. States are memoized as sorted difference vectors s_l - s_1.
-    """
 
-    STATE_CAP = 5_000_000
-
-    def __init__(self, gamma, loss, k):
-        if k < 2:
-            raise ValueError("need k >= 2")
-        check_gamma(gamma)
-        self.gamma = gamma
-        self.loss = loss
-        self.k = k
-        self._memo = {}
-
-    def _value_degree(self, t, diffs):
-        key = (t, tuple(sorted(diffs, reverse=True)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if t == 0:
-            result = (loss_value(self.loss, (0,) + key[1]), self.k)
-        else:
-            d = list(key[1])
-            child_true = self._value_degree(t - 1, [x - 1 for x in d])[0]
-            child_wrong = [
-                self._value_degree(t - 1, d[:j] + [d[j] + 1] + d[j + 1:])[0]
-                for j in range(self.k - 1)]
-            # stable sort by (value desc, label index asc); d is already in
-            # descending order so equal child values keep label order
-            order = sorted(range(self.k - 1), key=lambda j: (-child_wrong[j], j))
-            best_val, best_a = -math.inf, None
-            run = 0.0
-            for a in range(2, self.k + 1):
-                run += child_wrong[order[a - 2]]
-                share = (1.0 - self.gamma) / a
-                val = (share + self.gamma) * child_true + share * run
-                if val >= best_val - 1e-15:  # ties -> largest a
-                    best_val, best_a = max(val, best_val), a
-            result = (best_val, best_a)
-        if len(self._memo) >= self.STATE_CAP:
+def minimal_sweep(gamma, loss, t, s):
+    """(values, degrees) of the minimal-condition potential phi_t(s) for
+    queries t (Q,) and states s (Q, k): each round the adversary puts
+    (1-gamma)/a + gamma on the true label and (1-gamma)/a on the a-1
+    wrong labels of largest child potential, for the degree a in {2..k}
+    that maximizes phi (ties to the largest a; degree k at t = 0). The
+    rows of ascending wrong-label differences the queries reach are
+    listed from the largest t down, then filled from t = 0 up, none
+    pruned or clamped (the degree map reads decided states). Raises
+    RuntimeError before the rows held would pass STATE_CAP."""
+    t, s = np.asarray(t, dtype=int), np.asarray(s, dtype=np.int64)
+    k = s.shape[1]
+    if k < 2:
+        raise ValueError("need k >= 2")
+    check_gamma(gamma)
+    if (t < 0).any():
+        raise ValueError("t must be >= 0")
+    d = np.sort(s[:, 1:] - s[:, :1], axis=1)
+    # popped from t = 0 up: each level's rows, each query's index in them
+    # and the index in them of each child of the level above
+    kids, levels, children, asks = d[:0], [], [], []
+    for left in range(int(t.max(initial=0)), -1, -1):
+        rows = np.concatenate((kids, d[t == left]))
+        code = rows - rows.min(initial=0)
+        width = int(code.max(initial=0)) + 1
+        rep, inverse = _classes(code[:, 0], width, code[:, 1:], width)
+        children.append(inverse[:len(kids)].reshape(-1, k))
+        asks.append(inverse[len(kids):])
+        levels.append(rows[rep])
+        if left and sum(map(len, levels)) + k * len(rep) > STATE_CAP:
             raise RuntimeError("minimal-potential state cap exceeded")
-        self._memo[key] = result
-        return result
-
-    def value_degree(self, t, s):
-        s = np.asarray(s, dtype=int)
-        if len(s) != self.k:
-            raise ValueError("state arity mismatch")
-        diffs = [int(x) for x in (s[1:] - s[0])]
-        return self._value_degree(t, diffs)
+        kids = _children(levels[-1]) if left else None
+    values, degrees = np.empty(len(t)), np.empty(len(t), dtype=int)
+    for left in range(len(levels)):
+        level, ask = levels.pop(), asks.pop()
+        degree = np.full(len(level), k)
+        if left == 0 and loss.kind == ZERO_ONE:
+            value = (level[:, -1] >= 0) * 1.0
+        elif left == 0:   # loss_value's math.exp sum, largest d first
+            e = np.frompyfunc(math.exp, 1, 1)(loss.eta * level[:, ::-1])
+            value = e.astype(float).cumsum(axis=1)[:, -1]
+        else:
+            child = children.pop()
+            true = value[child[:, 0]]
+            # equal values may come in any order: their sums agree
+            run = np.sort(value[child[:, 1:]], axis=1)[:, ::-1].cumsum(axis=1)
+            value = np.full(len(level), -np.inf)
+            for a in range(2, k + 1):
+                share = (1.0 - gamma) / a
+                val = (share + gamma) * true + share * run[:, a - 2]
+                degree = np.where(val >= value - 1e-15, a, degree)
+                value = np.maximum(val, value)
+        values[t == left], degrees[t == left] = value[ask], degree[ask]
+    return values, degrees
 
 
 def potential_minimal(gamma, loss, t, s):
     """(value, degree) of the minimal-condition potential at (t, s)."""
-    s = np.asarray(s, dtype=int)
-    return MinimalPotential(gamma, loss, len(s)).value_degree(t, s)
+    value, degree = minimal_sweep(gamma, loss, [t], [s])
+    return float(value[0]), int(degree[0])
 
 
 def degree_map(gamma, loss, T):
-    """Degrees over compressed states (u, v) = (s_2-s_1, s_3-s_2) for
-    k = 3, the one arity whose states fit a 2-D map.
-
-    Returns a list of (u, v, t, degree) rows for t = 1..T and
-    u, v in [-T, T].
-    """
-    table = MinimalPotential(gamma, loss, 3)
-    rows = []
-    for t in range(1, T + 1):
-        for u in range(-T, T + 1):
-            for v in range(-T, T + 1):
-                _, a = table.value_degree(t, (0, u, u + v))
-                rows.append((u, v, t, a))
-    return rows
+    """(u, v, t, degree) rows over compressed k = 3 states (u, v) =
+    (s_2-s_1, s_3-s_2), the one arity that fits a 2-D map, for t = 1..T
+    and u, v in [-T, T]."""
+    if T < 0:
+        raise ValueError("need rounds >= 0")
+    if T * (2 * T + 1) ** 2 > STATE_CAP:
+        raise RuntimeError("minimal-potential state cap exceeded")
+    t, u, v = np.mgrid[1:T + 1, -T:T + 1, -T:T + 1].reshape(3, -1)
+    _, a = minimal_sweep(gamma, loss, t, np.stack((0 * u, u, u + v), axis=1))
+    return list(zip(u.tolist(), v.tolist(), t.tolist(), a.tolist()))

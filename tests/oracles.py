@@ -3,7 +3,8 @@ closed-form potentials, the exact AdaBoost.MM drop factor, a
 plain-Python recursion for the zero-one table of the OS booster, the
 plurality vote, the cost-family row constraints, the best response
 over all k^m classifiers, a run's error curves recomputed round by
-round, and a float sum that adds one value at a time."""
+round, a float sum that adds one value at a time, and the
+minimal-condition potential as a memoized per-state recursion."""
 
 import functools
 import itertools
@@ -83,6 +84,59 @@ def kappa(gamma, eta, k):
     """Per-round drop factor of the uniform-baseline exponential potential."""
     return (1.0 + ((1.0 - gamma) / k) * (math.exp(eta) + math.exp(-eta) - 2.0)
             - (1.0 - math.exp(-eta)) * gamma)
+
+
+class MinimalRecursion:
+    """The minimal-condition potential as a per-state recursion:
+    value_degree(t, s) is (phi_t(s), degree), each state memoized in a
+    plain dict by t and its sorted difference vector s_l - s_1."""
+
+    def __init__(self, gamma, loss, k):
+        self.gamma = gamma
+        self.loss = loss
+        self.k = k
+        self._memo = {}
+
+    def _value_degree(self, t, diffs):
+        key = (t, tuple(sorted(diffs, reverse=True)))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if t == 0:
+            result = (loss_value(self.loss, (0,) + key[1]), self.k)
+        else:
+            d = list(key[1])
+            child_true = self._value_degree(t - 1, [x - 1 for x in d])[0]
+            child_wrong = [
+                self._value_degree(t - 1, d[:j] + [d[j] + 1] + d[j + 1:])[0]
+                for j in range(self.k - 1)]
+            # stable sort by (value desc, label index asc); d is already in
+            # descending order so equal child values keep label order
+            order = sorted(range(self.k - 1), key=lambda j: (-child_wrong[j], j))
+            best_val, best_a = -math.inf, None
+            run = 0.0
+            for a in range(2, self.k + 1):
+                run += child_wrong[order[a - 2]]
+                share = (1.0 - self.gamma) / a
+                val = (share + self.gamma) * child_true + share * run
+                if val >= best_val - 1e-15:  # ties -> largest a
+                    best_val, best_a = max(val, best_val), a
+            result = (best_val, best_a)
+        self._memo[key] = result
+        return result
+
+    def value_degree(self, t, s):
+        return self._value_degree(t, [int(x) - int(s[0]) for x in s[1:]])
+
+
+def degree_map_recursion(gamma, loss, T):
+    """The (u, v, t, degree) rows of a k = 3 degree map, state by state
+    through MinimalRecursion, in degree_map's order."""
+    table = MinimalRecursion(gamma, loss, 3)
+    return [(u, v, t, table.value_degree(t, (0, u, u + v))[1])
+            for t in range(1, T + 1)
+            for u in range(-T, T + 1)
+            for v in range(-T, T + 1)]
 
 
 def minimal_vs_fixed_gap(gamma, T, k):

@@ -195,20 +195,17 @@ def test_criterion_08_small_eta_degeneracy():
     loss = pot.LossSpec(pot.EXP, eta)
     rows = pot.degree_map(gamma, loss, T)
     assert {a for (_, _, _, a) in rows} == {3}
-    table = pot.MinimalPotential(gamma, loss, k)
     b = pot.gamma_biased_uniform(k, gamma)
-    n_states = 0
-    for steps in range(T + 1):
-        remaining = T - steps
-        for s in itertools.product(range(steps + 1), repeat=k):
-            if sum(s) != steps:
-                continue
-            val, deg = table.value_degree(remaining, s)
-            assert deg == k
-            want = pot.potential_exp_closed(b, eta, remaining, s)
-            assert val == pytest.approx(want, abs=1e-10)
-            n_states += 1
-    report(8, f"({n_states} reachable states)")
+    reachable = [(T - steps, s) for steps in range(T + 1)
+                 for s in itertools.product(range(steps + 1), repeat=k)
+                 if sum(s) == steps]
+    remaining, states = zip(*reachable)
+    vals, degs = pot.minimal_sweep(gamma, loss, remaining, states)
+    for (remaining, s), val, deg in zip(reachable, vals, degs):
+        assert deg == k
+        want = pot.potential_exp_closed(b, eta, remaining, s)
+        assert val == pytest.approx(want, abs=1e-10)
+    report(8, f"({len(reachable)} reachable states)")
 
 
 def test_criterion_09_condition_equivalence_games():

@@ -702,6 +702,17 @@ class TestCliRejectsBadInput:
         err = self.run(argv + ["--out", str(tmp_path / "out")], capsys)
         assert err.startswith("error: need 0 <= gamma < 1")
 
+    # the minimal sweep checks the rows it would hold, and degree-map
+    # its query grid, against the state cap before building them
+    @pytest.mark.parametrize("argv", [
+        ["potentials", "--k", "6", "--rounds", "10", "--minimal",
+         "--out", "-"],
+        ["degree-map", "--rounds", "10", "--out", "-"]])
+    def test_state_cap(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(hz.potentials, "STATE_CAP", 50)
+        err = self.run(argv, capsys)
+        assert err == "error: minimal-potential state cap exceeded\n"
+
     # each printed an empty table or map, or passed vacuously ("passed
     # 0/-1"), and exited 0
     @pytest.mark.parametrize("argv, message", [

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from driftboost import potentials as pot
 from driftboost.core import indexed_dataset
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
-                                   MinimalPotential, check_eor_rows,
-                                   degree_map, gamma_biased_uniform,
-                                   loss_value, potential_exp_closed,
+                                   check_eor_rows, degree_map,
+                                   gamma_biased_uniform, loss_value,
+                                   minimal_sweep, potential_exp_closed,
                                    potential_fixed, potential_minimal,
                                    potential_zeroone_dp, zeroone_table)
 
-from oracles import (kappa, minimal_vs_fixed_gap,
-                     potential_oracle_bruteforce, table_potential)
+from oracles import (MinimalRecursion, degree_map_recursion, kappa,
+                     minimal_vs_fixed_gap, potential_oracle_bruteforce,
+                     table_potential)
 
 ZO = LossSpec(ZERO_ONE)
 
@@ -124,7 +125,7 @@ class TestEorCheck:
         with pytest.raises(ValueError, match="need 0 <= gamma < 1"):
             check_eor_rows([[1.0, 0.0]], gamma)
         with pytest.raises(ValueError, match="need 0 <= gamma < 1"):
-            MinimalPotential(gamma, ZO, 3)
+            potential_minimal(gamma, ZO, 0, (0, 0, 0))
 
 
 class TestFixedPotential:
@@ -565,11 +566,10 @@ class TestMinimalPotential:
     def test_small_eta_degenerates_to_uniform(self):
         eta = 0.02  # below (1/4) min(1/(k-1), 1/T) for k=3, T=10
         loss = LossSpec(EXP, eta)
-        table = MinimalPotential(0.2, loss, 3)
         b = gamma_biased_uniform(3, 0.2)
         for s in ((0, 0, 0), (0, 3, 1), (2, 2, 2), (0, -1, 4)):
             for t in (1, 4, 10):
-                val, deg = table.value_degree(t, s)
+                val, deg = potential_minimal(0.2, loss, t, s)
                 assert deg == 3
                 assert val == pytest.approx(
                     potential_exp_closed(b, eta, t, s), abs=1e-10)
@@ -577,24 +577,78 @@ class TestMinimalPotential:
     def test_dominates_every_fixed_b(self):
         gamma = 0.1
         rng = random.Random(9)
-        table = MinimalPotential(gamma, ZO, 3)
         for _ in range(15):
             t = rng.randrange(0, 6)
             s = tuple(rng.randrange(0, 3) for _ in range(3))
-            val, _ = table.value_degree(t, s)
+            val, _ = potential_minimal(gamma, ZO, t, s)
             # gamma-biased uniform on random supports, plus full uniform
             for b in (gamma_biased_uniform(3, gamma),
                       ((1 - gamma) / 2 + gamma, (1 - gamma) / 2, 0.0)):
                 assert val >= potential_zeroone_dp(b, t, s) - 1e-12
 
     def test_degree_range(self):
-        table = MinimalPotential(0.0, ZO, 4)
         rng = random.Random(11)
         for _ in range(20):
             t = rng.randrange(1, 5)
             s = tuple(rng.randrange(0, 3) for _ in range(4))
-            _, deg = table.value_degree(t, s)
+            _, deg = potential_minimal(0.0, ZO, t, s)
             assert 2 <= deg <= 4
+
+
+class TestMinimalSweep:
+    """The level sweep against the per-state recursion in
+    tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("loss", [ZO, LossSpec(EXP, 0.1),
+                                      LossSpec(EXP, 0.3)],
+                             ids=["zeroone", "eta0.1", "eta0.3"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_recursion(self, k, gamma, loss):
+        rng = random.Random(100 * k + int(10 * gamma))
+        queries = [(t, tuple(rng.randint(-3, 3) for _ in range(k)))
+                   for t in range(7) for _ in range(8)]
+        queries += [(t, (0,) * k) for t in range(7)]
+        t, s = zip(*queries)
+        values, degrees = minimal_sweep(gamma, loss, t, s)
+        table = MinimalRecursion(gamma, loss, k)
+        assert (list(zip(values.tolist(), degrees.tolist()))
+                == [table.value_degree(*q) for q in queries])
+
+    @pytest.mark.parametrize("loss", [ZO, LossSpec(EXP, 0.025),
+                                      LossSpec(EXP, 0.1),
+                                      LossSpec(EXP, 0.3)],
+                             ids=["zeroone", "eta0.025", "eta0.1", "eta0.3"])
+    @pytest.mark.parametrize("T", [0, 1, 5, 10])
+    def test_degree_map_matches_recursion(self, T, loss):
+        assert degree_map(0.1, loss, T) == degree_map_recursion(0.1, loss, T)
+
+    def test_python_types(self):
+        val, deg = potential_minimal(0.1, LossSpec(EXP, 0.1), 3, (0, 1, -1))
+        assert type(val) is float and type(deg) is int
+        assert {type(x) for row in degree_map(0.0, ZO, 2)
+                for x in row} == {int}
+
+    def test_negative_t_rejected(self):
+        # the recursion ran away to a RecursionError
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            potential_minimal(0.1, ZO, -1, (0, 0, 0))
+
+    def test_negative_rounds_rejected(self):
+        # the old map was silently empty
+        with pytest.raises(ValueError, match="need rounds >= 0"):
+            degree_map(0.1, ZO, -1)
+
+    def test_k_below_two_rejected(self):
+        with pytest.raises(ValueError, match="need k >= 2"):
+            potential_minimal(0.1, ZO, 3, (0,))
+
+    def test_long_run(self):
+        # T deep enough that the recursion hit Python's recursion limit
+        val, deg = potential_minimal(0.3, ZO, 1000, (0, 0))
+        assert deg == 2
+        assert val == pytest.approx(
+            potential_zeroone_dp((0.65, 0.35), 1000, (0, 0)), rel=1e-9)
 
 
 class TestDegreeMap:
@@ -629,8 +683,7 @@ class TestMinimalVsFixed:
 
 
 class TestStateCap:
-    def test_cap_triggers(self):
-        table = MinimalPotential(0.0, ZO, 3)
-        table.STATE_CAP = 5
+    def test_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(pot, "STATE_CAP", 5)
         with pytest.raises(RuntimeError):
-            table.value_degree(6, (0, 0, 0))
+            potential_minimal(0.0, ZO, 6, (0, 0, 0))

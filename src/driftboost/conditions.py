@@ -135,7 +135,8 @@ def _solve_lp(P, rows, B, per_example):
     example (per_example) or one free slack shared by every row.
 
     HiGHS solves it by interior point with crossover, so the dual weights
-    mu are those of a basic solution, as under the simplex.
+    mu are those of a basic solution, as under the simplex. Presolve is
+    off: it finds nothing to reduce in these dense LPs and costs time.
 
     Returns (lambda, H_lambda, certificate, lower): the
     certificate is the cost matrix sum_q mu[i, q] rows[i, q] of the dual
@@ -158,7 +159,8 @@ def _solve_lp(P, rows, B, per_example):
     a_eq = np.concatenate([np.ones(n), np.zeros(slacks)])[None, :]
     bounds = [(0, None)] * n + [(0 if per_example else None, None)] * slacks
     res = linprog(c_obj, A_ub=A, b_ub=rhs, A_eq=a_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs-ipm")
+                  bounds=bounds, method="highs-ipm",
+                  options={"presolve": False})
     if not res.success:
         raise RuntimeError(f"game LP failed: {res.message}")
 

@@ -261,7 +261,13 @@ def zeroone_table(b1, bw, k, T):
     return int(start[0]), children, values[::-1]
 
 
+# rows of states held at k <= 4; wider rows count k / 4 each, so no k
+# holds more memory than k = 4 does
 STATE_CAP = 5_000_000
+
+
+def _over_cap(rows, k):
+    return rows * max(k, 4) > 4 * STATE_CAP
 
 
 def minimal_sweep(gamma, loss, t, s):
@@ -273,7 +279,7 @@ def minimal_sweep(gamma, loss, t, s):
     rows of ascending wrong-label differences the queries reach are
     listed from the largest t down, then filled from t = 0 up, none
     pruned or clamped (the degree map reads decided states). Raises
-    RuntimeError before the rows held would pass STATE_CAP."""
+    RuntimeError before the rows held would pass STATE_CAP (_over_cap)."""
     t, s = np.asarray(t, dtype=int), np.asarray(s, dtype=np.int64)
     k = s.shape[1]
     if k < 2:
@@ -293,7 +299,7 @@ def minimal_sweep(gamma, loss, t, s):
         children.append(inverse[:len(kids)].reshape(-1, k))
         asks.append(inverse[len(kids):])
         levels.append(rows[rep])
-        if left and sum(map(len, levels)) + k * len(rep) > STATE_CAP:
+        if left and _over_cap(sum(map(len, levels)) + k * len(rep), k):
             raise RuntimeError("minimal-potential state cap exceeded")
         kids = _children(levels[-1]) if left else None
     values, degrees = np.empty(len(t)), np.empty(len(t), dtype=int)
@@ -332,7 +338,7 @@ def degree_map(gamma, loss, T):
     and u, v in [-T, T]."""
     if T < 0:
         raise ValueError("need rounds >= 0")
-    if T * (2 * T + 1) ** 2 > STATE_CAP:
+    if _over_cap(T * (2 * T + 1) ** 2, 3):
         raise RuntimeError("minimal-potential state cap exceeded")
     t, u, v = np.mgrid[1:T + 1, -T:T + 1, -T:T + 1].reshape(3, -1)
     _, a = minimal_sweep(gamma, loss, t, np.stack((0 * u, u, u + v), axis=1))

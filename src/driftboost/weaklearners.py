@@ -4,7 +4,8 @@ size-capped trees (a stump has size 3) that minimize summed cost."""
 
 import numpy as np
 
-from .core import WeakClassifier, is_finite, is_numeric, prediction_matrix
+from .core import (WeakClassifier, is_finite, is_numeric, prediction_matrix,
+                   split_candidates)
 
 
 def _argmin_cost(P, C):
@@ -137,30 +138,17 @@ def tree_from_dict(d, dataset):
 
 
 class _Node:
-    """A node of a growing tree: its members as an ascending index
-    array, its leaf label (least summed cost) and score (that sum), and
-    once split, the split and the two children. A leaf caches its
-    candidates' approximate gains."""
+    """A growing tree's node: ascending members, label and score (least
+    per-label cost total), split and children, a leaf's candidates."""
 
     __slots__ = ("members", "score", "label", "split", "left", "right",
                  "candidates")
 
-    def __init__(self, members, cT):
+    def __init__(self, members, totals):
         self.members = members
-        # the root holds every row, in order: no gather; a cumsum along
-        # the label-major costs adds the members in order, one at a time
-        rows = cT if len(members) == cT.shape[1] else cT.take(members, 1)
-        totals = np.cumsum(rows, axis=1)[:, -1]
         self.label = int(np.argmin(totals)) + 1
         self.score = float(totals[self.label - 1])
         self.split = self.left = self.right = self.candidates = None
-
-    def leaves(self):
-        if self.split is None:
-            yield self
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
 
     def freeze(self):
         if self.split is None:
@@ -173,75 +161,114 @@ class _Node:
 BLOCK = 2 ** 18
 
 
-def _split_gains(node, layout, cT):
-    """(approximate gains, first bins, thresholds) of a leaf's candidate
-    splits, in (column, candidate) order; a categorical candidate's
-    threshold is NaN, its category the value of its bin.
-
-    The columns are scored in blocks, as many per block (at least one) as
-    keep its (k + 1) x bins sums and its k x (columns x members) tiled
-    costs under BLOCK floats, so memory stays bounded however wide the
-    data. One pass scores a block: per label, one bincount adds the
-    members' costs into their (column, rank) bins in member order, and
-    one more counts them; a cumsum over the ranks of each numeric
-    column turns the bins into left sums. A numeric candidate lies
-    between two ranks present in the leaf, at the midpoint of their
-    values; its left side ends at the lower rank, or, where the
-    midpoint rounds up to the upper value, at the end of that value's
-    run of equal floats, so the left sum is that of `values <= thr`
-    exactly. A categorical candidate is one present rank. The left
-    sums are gathered label-major, one contiguous row of candidates
-    per label, so the minima reduce along the long axis."""
-    q, numeric, bins, floats, last = layout
-    k, n = len(cT), len(node.members)
+def _split_gains(nodes, dataset, cT):
+    """Per node (the root, or a split's two children together), its
+    candidates' (approximate gains, first bins, thresholds). Per block
+    of columns (bin sums and tiled costs under BLOCK floats) and label,
+    a bincount adds the members' costs into their bins in member order,
+    and a cumsum over each numeric (node, column) segment of present
+    bins (split_candidates; the root's are cached) makes left sums."""
+    layout = dataset.split_layout
+    q, numeric, bins = layout[:3]
+    k, cuts = len(cT), [0]
+    for node in nodes:
+        cuts.append(cuts[-1] + len(node.members))
     # the root holds every row, in order: no gather
-    members = node.members if n < bins.shape[1] else slice(None)
+    root = len(nodes) == 1 and cuts[1] == dataset.m
+    members = slice(None) if root else np.concatenate(
+        [node.members for node in nodes])
     rows = cT[:, members]
-    total = rows.sum(axis=1)[:, None]
-    width = max(1, BLOCK // ((k + 1) * max(n, q)))
-    parts = []
+    totals = [rows[:, a:z].sum(axis=1)[:, None]
+              for a, z in zip(cuts, cuts[1:])]
+    width = max(1, BLOCK // ((k + 1) * max(cuts[-1], len(nodes) * q)))
+    parts = [[] for _ in nodes]
+    whole = np.empty(len(dataset.root_candidates[1]) if root else 0)
     # one pass even without columns, so that the result has its dtypes
     for j in range(0, max(len(bins), 1), width):
-        block = bins[j:j + width, members]
-        base, size = j * q, len(block) * q
-        flat = block.ravel() - base
-        weights = np.tile(rows, len(block))
-        sums = np.empty((k + 1, size))
+        cols = slice(j, j + width)
+        block = bins[cols, members] - j * q if j else bins[cols, members]
+        b = len(block)
+        if root:
+            ends, first, thresholds = dataset.root_candidates
+            lo, hi = ((0, len(first)) if b == len(bins) else
+                      np.searchsorted(first, [j * q, (j + b) * q]).tolist())
+            ends, first, thresholds = (ends[lo:hi] - j * q, first[lo:hi],
+                                       thresholds[lo:hi])
+            w, bounds = q, [hi - lo]
+        else:
+            for cut in cuts[1:-1]:
+                block[:, cut:] += b * q
+            mark = np.zeros(len(nodes) * b * q, dtype=bool)
+            mark[block] = True
+            slot, w, ends, first, thresholds, bounds = split_candidates(
+                layout, cols, mark)
+            block, ends = slot[block], slot[ends]
+        size = len(nodes) * b * w
+        weights = np.repeat(rows[:, None], b, axis=1).reshape(k, -1)
+        sums = np.empty((k, size))
         for label in range(k):
-            sums[label] = np.bincount(flat, weights[label], size)
-        sums[k] = np.bincount(flat, minlength=size)
-        present = np.flatnonzero(sums[k]) + base
-        cube = sums.reshape(k + 1, len(block), q)
-        kinds = numeric[j:j + width]
-        cube[:, kinds] = np.cumsum(cube[:, kinds], axis=2)
-        lo, hi = present[:-1], present[1:]
-        # halves first: the sum of two large values overflows; a NaN
-        # midpoint (of a NaN value, or of -inf and inf) puts no row left
-        with np.errstate(invalid="ignore"):
-            thresholds = np.append(floats[lo] / 2 + floats[hi] / 2, np.nan)
-        end = np.append(np.where(thresholds[:-1] >= floats[hi], last[hi],
-                                 lo), present[-1:]) - base
-        col = present // q
-        proper = ((np.append(col[1:] == col[:-1], False)
-                   & ~np.isnan(thresholds)) | ~numeric[col])
-        keep = np.flatnonzero(proper & (sums[k, end] < n))
-        left = sums.take(end[keep], axis=1)[:k]
-        gains = node.score - (left.min(axis=0) + (total - left).min(axis=0))
-        parts.append((gains, present[keep], thresholds[keep]))
-    return tuple(map(np.concatenate, zip(*parts)))
+            sums[label] = np.bincount(block.ravel(), weights[label], size)
+        # categorical bins keep their own sums
+        cube, categorical = sums.reshape(k, len(nodes), -1, w), ~numeric[cols]
+        own = cube[:, :, categorical]
+        np.cumsum(cube, axis=3, out=cube)
+        cube[:, :, categorical] = own
+        # label-major: the minima reduce along the long axis
+        left = sums.take(ends, axis=1)
+        for node, part, a, z, total in zip(nodes, parts, [0, *bounds],
+                                           bounds, totals):
+            gains = node.score - (left[:, a:z].min(axis=0)
+                                  + (total - left[:, a:z]).min(axis=0))
+            if root:  # the candidates' bins and thresholds are cached whole
+                whole[lo:hi] = gains
+            else:
+                part.append((gains, first[a:z], thresholds[a:z]))
+    if root:
+        return [(whole, *dataset.root_candidates[1:])]
+    return [part[0] if len(part) == 1
+            else tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
 def _shortlist(gains, eps):
     """Indices, ascending, of the candidates whose approximate gain lies
     in the top cluster: the gains above 1e-12 - eps (at or below it, no
     exact gain exceeds 1e-12), from the largest down to the first gap
-    wider than 2 eps + 1e-12."""
-    alive = np.sort(gains[gains > 1e-12 - eps])
+    wider than 2 eps + 1e-12. Only the gains within a doubling reach of
+    the top are sorted."""
+    alive, gap = gains[gains > 1e-12 - eps], 2 * eps + 1e-12
     if not len(alive):
         return []
-    gaps = np.flatnonzero(np.diff(alive) > 2 * eps + 1e-12)
-    return np.flatnonzero(gains >= alive[gaps[-1] + 1 if len(gaps) else 0]
-                          ).tolist()
+    lo, reach = alive.max(), gap
+    while (near := np.sort(alive[~(lo - alive > reach)]))[0] < lo:
+        cut = np.flatnonzero(np.diff(near) > gap)
+        lo, reach = near[cut[-1] + 1 if len(cut) else 0], 2 * reach
+        if len(cut):
+            break
+    return np.flatnonzero(gains >= lo).tolist()
+
+
+def _exact_gains(leaf, chosen, dataset, cT):
+    """(split, gain, rows that go left, (k, 2) per-label totals of right
+    and left child) per chosen candidate of a leaf; one bincount per
+    label adds the members in order, as the child's own cumsum would."""
+    q, numeric = dataset.split_layout[:2]
+    _, first, thresholds = leaf.candidates
+    rows = cT if len(leaf.members) == cT.shape[1] else cT.take(leaf.members,
+                                                              1)
+    splits, lefts = [], []
+    for i in chosen:
+        j, rank = divmod(int(first[i]), q)
+        # a plain Python scalar, so that to_dict() holds JSON types
+        thr = (thresholds[i] if numeric[j]
+               else dataset.ranking[0][j][rank]).item()
+        values = dataset.columns[j][leaf.members]
+        lefts.append(values <= thr if numeric[j] else values == thr)
+        splits.append((j, thr, bool(numeric[j])))
+    sums = np.array([[np.bincount(left, row, 2) for row in rows]
+                     for left in lefts])
+    scores = sums.min(axis=1)
+    return zip(splits, (leaf.score - (scores[:, 1] + scores[:, 0])).tolist(),
+               lefts, sums)
 
 
 def greedy_tree(dataset, C, max_size):
@@ -257,67 +284,62 @@ def greedy_tree(dataset, C, max_size):
     only if its gain exceeds 1e-12 and the best so far by more than 1e-12.
 
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
-    2016, Alg. 1), binned by rank as in histogram split finding: every
-    column is ranked and laid out once per dataset
-    (Dataset.split_layout), and each leaf scores all its candidates in
-    blocks of columns over its members' ranks when it joins the tree
-    (_split_gains) and keeps the gains, so an expansion scans only the
-    two new children. Binned and prefix sums add in another order, so
-    their gains only shortlist: the candidates whose approximate gain
-    lies in the top cluster (no gap wider than 2 eps + 1e-12, eps a
-    bound on the sums' error) have their gains recomputed from the
-    members' own sums, and the rule above is replayed on them in
-    order. Every candidate left out is more than 1e-12 below every one
-    kept, so it could never win, and the tree equals that of a full
-    scan."""
+    2016, Alg. 1), binned by rank, a leaf's work following its members
+    as in SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996). Each leaf is
+    scored once (_split_gains): the root from structure cached per
+    dataset, a split's two children in one pass, so a size-s tree makes
+    at most 1 + (s - 3) / 2 passes. Binned sums add in another order, so
+    their gains only shortlist: the top cluster (no gap wider than
+    2 eps + 1e-12, eps a bound on the sums' error) is recomputed from
+    the children's own sums (_exact_gains) and the rule above replayed
+    on it in order. Every candidate left out is more than 1e-12 below
+    every one kept, so the tree equals that of a full scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = np.asarray(C, dtype=float)
-    layout = dataset.split_layout
-    q, numeric = layout[:2]
     cT = np.ascontiguousarray(c.T)
-    root = _Node(np.arange(dataset.m), cT)
+    root = _Node(np.arange(dataset.m), np.cumsum(cT, axis=1)[:, -1])
     # Error bound (u = 2^-53, n <= m rows, S = sum|c|): every sum of cost
     # rows is off by at most n u S from the real sum if it adds at most n
     # terms, whatever their order. A left sum adds each member's cost once:
-    # into its bin, then the bins of lower ranks (empty ones add 0); the
-    # total and a child's own sum add each member once too. The
-    # approximate gain uses the left sum twice (right = total - left) and
-    # the total once, the exact gain the sums of its two children, and the
-    # roundings between add at most 7 u S, so the two gains differ by at
-    # most (4n + 7) u S. eps is about twice that bound.
+    # into its bin, then the present bins of lower ranks in its node and
+    # column; no absent bin adds a term. The total and a child's own sum
+    # add each member once too. The approximate gain uses the left sum
+    # twice (right = total - left) and the total once, the exact gain the
+    # sums of its two children, and the roundings between add at most
+    # 7 u S, so the two gains differ by at most (4n + 7) u S. eps is about
+    # twice that bound.
     eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * float(np.abs(c).sum())
-    size = 1
+    leaves, size = [root], 1
+    if max_size >= 3:
+        root.candidates, = _split_gains([root], dataset, cT)
     while size + 2 <= max_size:
-        leaves = list(root.leaves())
-        for leaf in leaves:
-            if leaf.candidates is None:
-                leaf.candidates = _split_gains(leaf, layout, cT)
-        gains = np.concatenate([leaf.candidates[0] for leaf in leaves])
-        ends = np.cumsum([len(leaf.candidates[0]) for leaf in leaves])
-        best = None  # (gain, leaf, split, left node, right node)
-        for i in _shortlist(gains, eps):
-            at = int(np.searchsorted(ends, i, side="right"))
-            leaf = leaves[at]
-            _, first, thresholds = leaf.candidates
-            i -= ends[at - 1] if at else 0
-            j, rank = divmod(int(first[i]), q)
-            # a plain Python scalar, so that to_dict() holds JSON types
-            thr = (thresholds[i] if numeric[j]
-                   else dataset.ranking[0][j][rank]).item()
-            values = dataset.columns[j][leaf.members]
-            left = values <= thr if numeric[j] else values == thr
-            lw = _Node(leaf.members[left], cT)
-            rw = _Node(leaf.members[~left], cT)
-            gain = leaf.score - (lw.score + rw.score)
-            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                best = (gain, leaf, (j, thr, bool(numeric[j])), lw, rw)
+        picks, at, start = {}, 0, 0  # shortlisted candidates per leaf
+        gains = [leaf.candidates[0] for leaf in leaves]
+        for i in _shortlist(np.concatenate(gains) if len(gains) > 1
+                            else gains[0], eps):
+            while i >= start + len(leaves[at].candidates[0]):
+                start += len(leaves[at].candidates[0])
+                at += 1
+            picks.setdefault(at, []).append(i - start)
+        best = None  # (gain, leaf index, split, its left rows, their sums)
+        for at, chosen in picks.items():
+            for split, gain, left, sums in _exact_gains(leaves[at], chosen,
+                                                        dataset, cT):
+                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+                    best = (gain, at, split, left, sums)
         if best is None:
             break
-        _, leaf, split, lw, rw = best
-        leaf.split, leaf.left, leaf.right = split, lw, rw
-        leaf.candidates = None
+        _, at, split, left, sums = best
+        leaf = leaves[at]
+        leaf.split, leaf.candidates = split, None
+        leaf.left = _Node(leaf.members[left], sums[:, 1])
+        leaf.right = _Node(leaf.members[~left], sums[:, 0])
+        leaves[at:at + 1] = [leaf.left, leaf.right]
         size += 2
+        if size + 2 <= max_size:
+            leaf.left.candidates, leaf.right.candidates = _split_gains(
+                [leaf.left, leaf.right], dataset, cT)
     return root.freeze()
 
 

@@ -343,6 +343,44 @@ class TestEquivalences:
         assert checked >= 10
 
 
+class TestPresolve:
+    """The game LPs run without HiGHS presolve; with it, every report
+    agrees within 1e-9."""
+
+    def reports(self):
+        rng = random.Random(5)
+        cases = [(*hz.figure_one_fixture(), 0.1),
+                 (*hz.window_fixture(11, 0.1)[:2], 0.1),
+                 (*hz.mh_overdemand_fixture(3, 0.0, 3), 0.05)]
+        cases += [(*random_dataset_space(rng, rng.randrange(4, 30),
+                                         rng.randrange(2, 6),
+                                         rng.randrange(2, 12)), 0.1)
+                  for _ in range(8)]
+        out = []
+        for d, space, gamma in cases:
+            for name in ("SAMME", "M1", "MH", "MR", "EOR-fixed"):
+                rep = cnd.solve_game(space, cnd.make_condition(name, gamma, d),
+                                     d)
+                out.append((rep.value, rep.gap, rep.satisfied))
+            rep = cnd.is_boostable(space, d)
+            out.append((rep.margin, rep.gap, rep.verdict))
+        return out
+
+    def test_presolve_changes_no_report(self, monkeypatch):
+        calls = capture_lps(monkeypatch)
+        off = self.reports()
+        assert {call["options"]["presolve"] for call in calls} == {False}
+        real = cnd.linprog
+        monkeypatch.setattr(cnd, "linprog", lambda c, **kw: real(
+            c, **dict(kw, options={"presolve": True})))
+        on = self.reports()
+        assert len(on) == len(off) == 66
+        for (a, gap_a, verdict_a), (b, gap_b, verdict_b) in zip(off, on):
+            assert verdict_a == verdict_b
+            assert a == pytest.approx(b, abs=1e-9)
+            assert gap_a == pytest.approx(gap_b, abs=1e-9)
+
+
 def capture_lps(monkeypatch):
     """Record the keyword arguments of every linprog call."""
     calls = []

@@ -687,3 +687,22 @@ class TestStateCap:
         monkeypatch.setattr(pot, "STATE_CAP", 5)
         with pytest.raises(RuntimeError):
             potential_minimal(0.0, ZO, 6, (0, 0, 0))
+
+    def test_cap_bounds_memory_not_rows(self, monkeypatch):
+        # a row of k = 12 states holds three times the ints of one of
+        # k = 4, so under one cap the k = 12 sweep stops at fewer rows
+        monkeypatch.setattr(pot, "STATE_CAP", 3000)
+        checked = {4: [], 12: []}
+        over = pot._over_cap
+        monkeypatch.setattr(pot, "_over_cap",
+                            lambda rows, k: checked[k].append(rows)
+                            or over(rows, k))
+        for k in checked:
+            with pytest.raises(RuntimeError):
+                for t in range(1, 60):
+                    potential_minimal(0.0, ZO, t, (0,) * k)
+        stop = checked[12][-1]
+        assert over(stop, 12) and not over(stop, 4)
+        assert any(not over(rows, 4) and rows >= stop for rows in checked[4])
+        for k in (2, 3, 4):  # no limit at k <= 4 rises
+            assert over(3001, k) and not over(3000, k)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,53 @@ class TestPresort:
         assert len(run.rounds) == 20
         assert built == [d]
 
+    def test_root_candidates_are_cached_and_read_only(self):
+        # a node of every row has all ranks present: its candidates are
+        # each numeric column's adjacent ranks and each category, as the
+        # layout's bins, and a stump's root scores exactly them
+        d = self.training_set()
+        candidates = d.root_candidates
+        assert d.root_candidates is candidates
+        ends, first, thresholds = candidates
+        q, numeric = d.split_layout[:2]
+        values, _ = d.ranking
+        want = [j * q + r for j, vals in enumerate(values)
+                for r in range(len(vals) - numeric[j])]
+        assert first.tolist() == want
+        assert np.array_equal(ends, first)
+        for j, vals in enumerate(values[:3]):
+            mids = vals[:-1] / 2 + vals[1:] / 2
+            assert thresholds[first // q == j].tolist() == mids.tolist()
+        assert np.isnan(thresholds[first // q == 3]).all()
+        for array in candidates:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+        cT = np.ones((d.k, d.m))
+        gains, got_first, got_thresholds = wl._split_gains(
+            [leaf_node(np.arange(d.m), cT)], d, cT)[0]
+        assert got_first is first and got_thresholds is thresholds
+        assert len(gains) == len(first)
+
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_os_run_finds_root_candidates_once(self, monkeypatch, size):
+        d = self.training_set()
+        built = []
+        find = Dataset.root_candidates.func
+
+        def recording(dataset):
+            built.append(dataset)
+            return find(dataset)
+
+        monkeypatch.setattr(Dataset, "root_candidates",
+                            functools.cached_property(recording))
+        Dataset.root_candidates.__set_name__(Dataset, "root_candidates")
+        run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
+                             20, TreeLearner(size))
+        assert len(run.rounds) == 20
+        assert built == [d]
+
+
 # ------------------------------------------- reference split search
 
 def _leaf_score_cost(members, c):
@@ -447,6 +495,49 @@ def tree_problems(draw):
     return Dataset(columns, labels, k), C, draw(st.integers(1, 11))
 
 
+def leaf_node(members, cT):
+    """A tree node holding members, its sums added in member order."""
+    return wl._Node(members, np.cumsum(cT[:, members], axis=1)[:, -1])
+
+
+def edge_problem(rng):
+    """(dataset, cost array, two disjoint ascending member arrays, one
+    often a single row) over columns with NaN and +-inf, categories only
+    (sometimes every column), ints beyond 2**53 that share floats, and
+    adjacent floats whose midpoint rounds up."""
+    m, k = int(rng.integers(2, 40)), int(rng.integers(2, 5))
+    makers = (lambda: rng.normal(size=m),
+              lambda: rng.choice([0.0, 1.0, 2.0, np.nan, np.inf, -np.inf], m),
+              lambda: np.array(list("abc"))[rng.integers(0, 3, m)],
+              lambda: 2 ** 60 + rng.choice([0, 1, 3, 256, 512], m),
+              lambda: np.where(rng.random(m) < 0.5, ADJACENT,
+                               np.nextafter(ADJACENT, np.inf)),
+              lambda: rng.integers(0, 4, m))
+    categorical = rng.random() < 0.2
+    columns = tuple(makers[2 if categorical else rng.integers(len(makers))]()
+                    for _ in range(rng.integers(1, 5)))
+    C = (rng.integers(-2, 3, (m, k)).astype(float) if rng.random() < 0.5
+         else rng.normal(size=(m, k)))
+    if rng.random() < 0.3:
+        left = np.zeros(m, dtype=bool)
+        left[rng.integers(m)] = True
+    else:
+        left = rng.random(m) < rng.uniform(0.1, 0.9)
+    rows = rng.permutation(m)[:int(rng.integers(2, m + 1))]
+    inside = np.zeros(m, dtype=bool)
+    inside[rows] = True
+    a, b = np.flatnonzero(inside & left), np.flatnonzero(inside & ~left)
+    if not len(a) or not len(b):
+        a, b = np.sort(rows)[:1], np.sort(rows)[1:]
+    return Dataset(columns, rng.integers(1, k + 1, m), k), C, a, b
+
+
+def same_bits(got, want):
+    return (len(got) == len(want)
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    for x, y in zip(got, want)))
+
+
 class TestSplitSearchMatchesFullScan:
     """The prefix-sum search grows the same tree as the full scan."""
 
@@ -490,6 +581,53 @@ class TestSplitSearchMatchesFullScan:
                 assert (greedy_tree(d, C, size).to_dict()
                         == reference_greedy_tree(d, C, size).to_dict())
 
+    def test_children_scored_together_as_each_alone(self):
+        # the two children of a split share one pass, each leaf's bins
+        # offset on the bin axis; leaf by leaf, its candidates keep the
+        # bits and dtypes of the leaf scored alone
+        rng = np.random.default_rng(1996)
+        for _ in range(300):
+            d, C, a, b = edge_problem(rng)
+            cT = np.ascontiguousarray(C.T)
+            nodes = [leaf_node(a, cT), leaf_node(b, cT)]
+            with np.errstate(invalid="ignore"):
+                both = wl._split_gains(nodes, d, cT)
+                alone = [wl._split_gains([node], d, cT)[0] for node in nodes]
+            assert len(both) == 2
+            for got, want in zip(both, alone):
+                assert same_bits(got, want)
+
+    def test_edge_problems_match_the_full_scan(self):
+        rng = np.random.default_rng(1997)
+        for _ in range(200):
+            d, C, _, _ = edge_problem(rng)
+            for size in (3, 7):
+                with np.errstate(invalid="ignore"):
+                    want = reference_greedy_tree(d, C, size).to_dict()
+                assert greedy_tree(d, C, size).to_dict() == want
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 9, 10, 15])
+    def test_one_scoring_pass_per_expansion(self, monkeypatch, size):
+        # the root, then the two children of each split but the last,
+        # one pass each: 1 + (s - 3) / 2 passes for a size-s tree
+        passes = []
+        score = wl._split_gains
+
+        def counting(nodes, dataset, cT):
+            passes.append(len(nodes))
+            return score(nodes, dataset, cT)
+
+        monkeypatch.setattr(wl, "_split_gains", counting)
+        rng = np.random.default_rng(size)
+        d = Dataset(tuple(rng.normal(size=(3, 200))), rng.integers(1, 4, 200),
+                    3)
+        for _ in range(5):
+            passes.clear()
+            tree = greedy_tree(d, rng.normal(size=(200, 3)), size)
+            assert tree.size == size - (size % 2 == 0)
+            assert passes == ([1] + [2] * ((size - 3) // 2) if size >= 3
+                              else [])
+
     def test_cost_matrix_and_more_rows(self):
         rng = np.random.default_rng(7)
         d = Dataset((np.round(rng.normal(size=300), 2),
@@ -522,13 +660,59 @@ class TestColumnBlocks:
                      rng.normal(size=50)), rng.integers(1, 4, 50), 3)
         C = rng.normal(size=(50, 3))
         cT = np.ascontiguousarray(C.T)
-        node = wl._Node(np.flatnonzero(rng.random(50) < 0.7), cT)
-        want = wl._split_gains(node, d.split_layout, cT)
+        node = leaf_node(np.flatnonzero(rng.random(50) < 0.7), cT)
+        want = wl._split_gains([node], d, cT)[0]
         monkeypatch.setattr(wl, "BLOCK", block)
-        got = wl._split_gains(node, d.split_layout, cT)
+        got = wl._split_gains([node], d, cT)[0]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+    @pytest.mark.parametrize("block", [1, 300, 2000])
+    def test_block_pairs_and_roots_equal_one_pass(self, monkeypatch, block):
+        rng = np.random.default_rng(9)
+        problems = []
+        for _ in range(60):
+            d, C, a, b = edge_problem(rng)
+            cT = np.ascontiguousarray(C.T)
+            nodes = ([leaf_node(a, cT), leaf_node(b, cT)],
+                     [leaf_node(np.arange(d.m), cT)])
+            with np.errstate(invalid="ignore"):
+                want = [wl._split_gains(n, d, cT) for n in nodes]
+            problems.append((d, cT, nodes, want))
+        monkeypatch.setattr(wl, "BLOCK", block)
+        for d, cT, nodes, want in problems:
+            with np.errstate(invalid="ignore"):
+                got = [wl._split_gains(n, d, cT) for n in nodes]
+            for a, b in zip(sum(got, []), sum(want, [])):
+                assert same_bits(a, b)
+
+
+def test_wide_stump_memory():
+    # a stump on 20,000 rows of 30 four-decimal columns, k = 8, peaked at
+    # 46.5 MiB of traced memory from a fresh dataset and at 26.7 MiB once
+    # the layout was built when every leaf scored the dense bin cube; the
+    # root candidates, now found in the first call, must fit within those
+    rng = np.random.default_rng(0)
+    m, k = 20000, 8
+    columns = tuple(np.round(rng.normal(size=(30, m)), 4))
+    labels, C = rng.integers(1, k + 1, m), rng.normal(size=(m, k))
+
+    def peak(grow):
+        tracemalloc.start()
+        try:
+            tree = grow()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20, tree
+        finally:
+            tracemalloc.stop()
+
+    fresh, tree = peak(lambda: greedy_tree(Dataset(columns, labels, k), C, 3))
+    d = Dataset(columns, labels, k)
+    assert d.split_layout[0] > 15000
+    laid_out, again = peak(lambda: greedy_tree(d, C, 3))
+    assert tree.to_dict() == again.to_dict() and tree.size == 3
+    assert fresh <= 47 and laid_out <= 27
 
 
 @st.composite
@@ -563,6 +747,21 @@ class TestRowOrder:
                            d.labels[perm], d.k)
         assert (greedy_tree(shuffled, C[perm], size).to_dict()
                 == greedy_tree(d, C, size).to_dict())
+
+
+    def test_permuting_rows_keeps_edge_trees(self):
+        # NaN and +-inf, shared floats and rounded-up midpoints too
+        rng = np.random.default_rng(27)
+        for _ in range(150):
+            d, C, _, _ = edge_problem(rng)
+            C = np.round(C)  # integer costs: ties are common
+            perm = rng.permutation(d.m)
+            shuffled = Dataset(tuple(col[perm] for col in d.columns),
+                               d.labels[perm], d.k)
+            for size in (3, 7):
+                with np.errstate(invalid="ignore"):
+                    assert (greedy_tree(shuffled, C[perm], size).to_dict()
+                            == greedy_tree(d, C, size).to_dict())
 
 
 def stable_argsort_shortlist(gains, eps):
@@ -645,8 +844,8 @@ class TestRankedSearchEdges:
                     3)
         C = rng.integers(-1, 2, (40, 3)).astype(float)
         cT = np.ascontiguousarray(C.T)
-        root = wl._Node(np.arange(40), cT)
-        gains = wl._split_gains(root, d.split_layout, cT)[0]
+        root = leaf_node(np.arange(40), cT)
+        gains = wl._split_gains([root], d, cT)[0][0]
         assert len(gains) - len(np.unique(gains)) >= 15
         assert np.count_nonzero(gains == gains.max()) >= 2
         for eps in (0.0, 1e-9, 0.3, 1.0, 5.0):

@@ -86,13 +86,16 @@ def make_condition(name, gamma, dataset, baseline=None):
 
 # ---------------------------------------------------------------- the game
 
+GAME_TOL = 1e-7  # game values up to it count as 0, margins above it as > 0
+
+
 @dataclass(frozen=True)
 class GameValueReport:
     value: float            # certified upper bound on the game value
     mixture: np.ndarray     # lambda over Hspace achieving `value`
     cost_matrix: CostMatrix  # achieving cost matrix (lower-bound certificate)
     gap: float              # value - min_h cost_matrix.(1_h - B), >= 0
-    satisfied: bool         # value <= tolerance
+    satisfied: bool         # value <= GAME_TOL
 
     def __post_init__(self):
         if abs(self.mixture.sum() - 1.0) > 1e-9:
@@ -175,7 +178,7 @@ def _solve_lp(P, rows, B, per_example):
     return lam, H_lam, cert, lower
 
 
-def solve_game(Hspace, cond, dataset, tol=1e-7):
+def solve_game(Hspace, cond, dataset):
     """Value, mixture and achieving cost matrix of the condition game."""
     y = dataset.labels - 1
     B = cond.baseline.entries
@@ -187,7 +190,7 @@ def solve_game(Hspace, cond, dataset, tol=1e-7):
                              0.0).sum())
     gap = max(0.0, upper - lower)
     return GameValueReport(upper, lam, CostMatrix(cert, cond.family), gap,
-                           upper <= tol)
+                           upper <= GAME_TOL)
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ class BoostabilityReport:
     gap: float
 
 
-def is_boostable(Hspace, dataset, tol=1e-7):
+def is_boostable(Hspace, dataset):
     """Solve the separation game min_lambda max_{i, l != y_i}
     (H_lambda(i,l) - H_lambda(i,y_i)); margin > 0 means boostable."""
     m, k = dataset.m, dataset.k
@@ -215,11 +218,11 @@ def is_boostable(Hspace, dataset, tol=1e-7):
 
     # -margin upper-bounds the game value, the certificate lower-bounds it
     gap = max(0.0, (-margin) - lower)
-    if margin > tol:
+    if margin > GAME_TOL:
         verdict = "yes"
-    elif lower >= -tol:
+    elif lower >= -GAME_TOL:
         # the certificate bounds the game value from below by `lower`,
-        # so no mixture separates with margin above tol: not boostable
+        # so no mixture separates with margin above GAME_TOL: not boostable
         verdict = "no"
     else:
         verdict = "undetermined"

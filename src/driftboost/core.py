@@ -3,6 +3,8 @@
 A Dataset is columnar: one 1-D array per feature, whose dtype is the
 column's kind, and one int label array; row subsets index every array
 with the same index. Classifiers predict a whole dataset at once.
+Score tables are (m, k) at every interface; the vote and the tie rule
+(vote, training_error) work label-major, on (k, m) tables.
 
 Labels live in {1..k} everywhere; arrays are 0-indexed, so column l-1
 holds label l. True labels are kept as given (no relabeling to 1).
@@ -57,18 +59,6 @@ class Dataset:
     def m(self):
         return len(self.labels)
 
-    @cached_property
-    def ranking(self):
-        """(values, ranks): per column, its sorted distinct values, and a
-        (p, m) matrix of each row's index into them, so values[j][ranks[j]]
-        is column j. Read-only: each column is ranked once per dataset."""
-        pairs = [np.unique(col, return_inverse=True) for col in self.columns]
-        values = tuple(v for v, _ in pairs)
-        ranks = np.array([r for _, r in pairs], dtype=int).reshape(-1, self.m)
-        for array in (*values, ranks):
-            array.setflags(write=False)
-        return values, ranks
-
     @property
     def features(self):
         """Row tuples of Python scalars, rebuilt from the columns."""
@@ -76,15 +66,16 @@ class Dataset:
 
     @cached_property
     def split_layout(self):
-        """The ranking laid out on one flat axis of bins: rank r of column
-        j is bin j * q + r, q the most distinct values in any column.
-        Returns q, whether each column is numeric, the (p, m) bins of the
-        rows, each bin's value as a float (NaN in categorical columns and
-        past a column's last value), and the last bin of the bin's run of
-        equal floats in its column: `values <= thr` compares as floats,
-        and int values beyond 2**53 can share one. Read-only, built once
-        per dataset."""
-        values, ranks = self.ranking
+        """Each column ranked by np.unique, on one flat axis of bins: rank
+        r of column j is bin j * q + r, q the most distinct values in any
+        column. Returns q, whether each column is numeric, the (p, m) bins
+        of the rows, each bin's value as a float (NaN in categorical
+        columns and past a column's last value), the last bin of the bin's
+        run of equal floats in its column (`values <= thr` compares as
+        floats; int values beyond 2**53 can share one), and each column's
+        sorted distinct values. Read-only, built once per dataset."""
+        pairs = [np.unique(col, return_inverse=True) for col in self.columns]
+        values = tuple(v for v, _ in pairs)
         p = len(values)
         q = max(map(len, values), default=1)
         numeric = np.array([is_numeric(v) for v in values], dtype=bool)
@@ -94,11 +85,12 @@ class Dataset:
         run_end = np.ones((p, q), dtype=bool)
         run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
         ends = np.flatnonzero(run_end)
-        layout = (numeric, ranks + q * np.arange(p)[:, None], floats.ravel(),
+        bins = np.array([r for _, r in pairs], dtype=int).reshape(-1, self.m)
+        layout = (numeric, bins + q * np.arange(p)[:, None], floats.ravel(),
                   ends[np.searchsorted(ends, np.arange(p * q))])
-        for array in layout:
+        for array in (*layout, *values):
             array.setflags(write=False)
-        return (q, *layout)
+        return (q, *layout, values)
 
     @cached_property
     def root_candidates(self):
@@ -139,7 +131,7 @@ def split_candidates(layout, cols, mark):
     present bin of the upper value's run of equal floats if it rounds up
     to it; a categorical one is a present bin (NaN threshold). Both
     sides must hold rows."""
-    q, numeric, _, floats, last = layout
+    q, numeric, _, floats, last = layout[:5]
     numeric, present = numeric[cols], mark.nonzero()[0]
     b = max(len(numeric), 1)
     start = np.searchsorted(present, np.arange(0, len(mark) + 1, q))
@@ -228,21 +220,27 @@ class ScoringFunction:
     provenance: tuple  # ((WeakClassifier, alpha), ...)
 
     def score_table(self, dataset):
-        f = np.zeros((dataset.m, dataset.k))
-        rows = np.arange(dataset.m) * dataset.k - 1
+        """(m, k) scores, voted label-major, as a C-contiguous copy."""
+        F = np.zeros((dataset.k, dataset.m))
         for h, alpha in self.provenance:
-            f.reshape(-1)[rows + h.predict_all(dataset)] += alpha
-        return f
+            vote(F, h.predict_all(dataset), alpha)
+        return F.T.copy()
+
+
+def vote(F, preds, alpha):
+    """Add alpha to the (k, m) score table F at each row's prediction."""
+    m = F.shape[1]
+    F.reshape(-1)[(preds - 1) * m + np.arange(m)] += alpha
 
 
 def training_error(f, dataset):
     """Fraction of examples with f(i,y_i) <= max wrong score (ties count),
-    for the (m, k) score table f."""
-    y = dataset.labels - 1
-    own = f[np.arange(dataset.m), y]
-    masked = f.copy()
-    masked[np.arange(dataset.m), y] = -np.inf
-    return float(np.mean(own <= masked.max(axis=1)))
+    for the (m, k) score table f; reduced label-major, as k row maxima."""
+    F = f.T.copy()
+    own = (dataset.labels - 1) * dataset.m + np.arange(dataset.m)
+    scores = F.reshape(-1)[own]
+    F.reshape(-1)[own] = -np.inf
+    return float(np.mean(scores <= F.max(axis=0)))
 
 
 def exp_risk(f, dataset):

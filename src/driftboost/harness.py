@@ -17,7 +17,7 @@ import numpy as np
 from . import boosters, potentials, weaklearners
 from .core import (CostMatrix, Dataset, ScoringFunction, TableClassifier,
                    exp_risk, indexed_dataset, is_finite, is_numeric,
-                   training_error, wrong_labels)
+                   training_error, vote, wrong_labels)
 from .potentials import EXP, ZERO_ONE, LossSpec
 
 
@@ -164,30 +164,26 @@ def run_experiment(cfg):
 
     # per-round curves on label-major (k, m) score tables: the booster's
     # own training predictions, and one prediction pass over the test rows
-    ftr = np.zeros((train.k, train.m))
-    fte = np.zeros((test.k, test.m))
-    lines = ["\t".join(("t", "delta", "alpha", "Z", "train_error",
-                        "test_error"))]
+    ftr, fte = np.zeros((train.k, train.m)), np.zeros((test.k, test.m))
+    lines = ["t\tdelta\talpha\tZ\ttrain_error\ttest_error"]
     for r in run.rounds:
-        _vote(ftr, r.preds, r.alpha)
-        _vote(fte, r.classifier.predict_all(test), r.alpha)
+        vote(ftr, r.preds, r.alpha)
+        vote(fte, r.classifier.predict_all(test), r.alpha)
         zcol = r.Z_prev if algo != "os" else r.extra.get("avg_potential", 0.0)
         lines.append("\t".join((str(r.t), fmt(r.edge), fmt(r.alpha),
-                                fmt(zcol), fmt(_error(ftr, train)),
-                                fmt(_error(fte, test)))))
+                                fmt(zcol), fmt(training_error(ftr.T, train)),
+                                fmt(training_error(fte.T, test)))))
     with open(os.path.join(outdir, "run.tsv"), "w") as fh:
         fh.write("\n".join(header_meta + lines) + "\n")
 
-    model = {"k": dataset.k, "label_map": meta["label_map"],
-             "algo": algo,
-             "rounds": [{"alpha": r.alpha,
-                         "tree": r.classifier.to_dict()}
+    model = {"k": dataset.k, "label_map": meta["label_map"], "algo": algo,
+             "rounds": [{"alpha": r.alpha, "tree": r.classifier.to_dict()}
                         for r in run.rounds]}
     with open(os.path.join(outdir, "model.json"), "w") as fh:
         fh.write(json.dumps(model, sort_keys=True, indent=1) + "\n")
 
-    metrics = {"train_error": _error(ftr, train),
-               "test_error": _error(fte, test),
+    metrics = {"train_error": training_error(ftr.T, train),
+               "test_error": training_error(fte.T, test),
                "train_exp_risk": exp_risk(ftr.T.copy(), train),
                "rounds_run": len(run.rounds),
                "separated": run.separated}
@@ -196,22 +192,6 @@ def run_experiment(cfg):
         for key in sorted(metrics):
             fh.write(f"{key}\t{fmt(metrics[key]) if isinstance(metrics[key], float) else metrics[key]}\n")
     return metrics
-
-
-def _vote(F, preds, alpha):
-    """Add alpha to the (k, m) score table F at each row's prediction."""
-    m = F.shape[1]
-    F.reshape(-1)[(preds - 1) * m + np.arange(m)] += alpha
-
-
-def _error(F, dataset):
-    """training_error of the (k, m) score table F: each row's true score
-    against the maximum of its k - 1 wrong scores, k rows reduced at
-    once."""
-    own = (dataset.labels - 1) * dataset.m + np.arange(dataset.m)
-    wrong = F.copy()
-    wrong.reshape(-1)[own] = -np.inf
-    return float(np.mean(F.take(own) <= wrong.max(axis=0)))
 
 
 def eval_model(model_path, data_path, label_column=None):
@@ -228,6 +208,10 @@ def eval_model(model_path, data_path, label_column=None):
     if model["k"] != len(model["label_map"]):
         raise ValueError(f"model has k = {model['k']!r}, but its label_map "
                          f"names {len(model['label_map'])} labels")
+    numbers = list(model["label_map"].values())
+    if (not all(type(n) is int for n in numbers)  # bools are ints too
+            or sorted(numbers) != list(range(1, len(numbers) + 1))):
+        raise ValueError(f"label_map values {numbers} are not 1..{model['k']}")
     for t, r in enumerate(model["rounds"], start=1):
         if (not isinstance(r, dict) or {"alpha", "tree"} - r.keys()
                 or not isinstance(r["alpha"], (int, float))):
@@ -336,18 +320,13 @@ def equivalence_check(trials, rounds, seed):
     total, details)."""
     if trials < 1 or rounds < 0:
         raise ValueError("need trials >= 1 and rounds >= 0")
-    rng = random.Random(seed)
-    details = []
-    passed = 0
+    rng, details = random.Random(seed), []
     for trial in range(trials):
-        m = rng.randrange(2, 9)
-        k = rng.randrange(2, 5)
-        n = rng.randrange(2, 7)
+        m, k, n = (rng.randrange(2, top) for top in (9, 5, 7))
         dataset, space = random_dataset_space(rng, m, k, n)
         ok, why = boosters.check_run_equivalence(dataset, space, rounds)
-        passed += ok
         details.append((trial, ok, why))
-    return passed, trials, details
+    return sum(ok for _, ok, _ in details), trials, details
 
 
 def write_fixture_files(outdir):

@@ -35,19 +35,6 @@ class LossSpec:
             raise ValueError("EXP loss needs eta >= 0")
 
 
-def loss_value(loss, s):
-    """L(s): 1[s_1 <= max_l s_l] (ZERO_ONE) or sum_{l>=2} e^{eta (s_l - s_1)},
-    added in label order with math.exp (EXP)."""
-    diffs = [float(x - s[0]) for x in s[1:]]
-    if loss.kind == ZERO_ONE:
-        return 1.0 if max(diffs) >= 0.0 else 0.0
-    # one at a time: from Python 3.12 on, sum() compensates float sums
-    total = 0.0
-    for d in diffs:
-        total += math.exp(loss.eta * d)
-    return total
-
-
 def check_gamma(gamma):
     if not 0.0 <= gamma < 1.0:
         raise ValueError("need 0 <= gamma < 1")
@@ -308,7 +295,7 @@ def minimal_sweep(gamma, loss, t, s):
         degree = np.full(len(level), k)
         if left == 0 and loss.kind == ZERO_ONE:
             value = (level[:, -1] >= 0) * 1.0
-        elif left == 0:   # loss_value's math.exp sum, largest d first
+        elif left == 0:   # the EXP loss: a math.exp sum, largest d first
             e = np.frompyfunc(math.exp, 1, 1)(loss.eta * level[:, ::-1])
             value = e.astype(float).cumsum(axis=1)[:, -1]
         else:

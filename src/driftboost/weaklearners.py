@@ -251,7 +251,7 @@ def _exact_gains(leaf, chosen, dataset, cT):
     """(split, gain, rows that go left, (k, 2) per-label totals of right
     and left child) per chosen candidate of a leaf; one bincount per
     label adds the members in order, as the child's own cumsum would."""
-    q, numeric = dataset.split_layout[:2]
+    q, numeric, *_, distinct = dataset.split_layout
     _, first, thresholds = leaf.candidates
     rows = cT if len(leaf.members) == cT.shape[1] else cT.take(leaf.members,
                                                               1)
@@ -260,7 +260,7 @@ def _exact_gains(leaf, chosen, dataset, cT):
         j, rank = divmod(int(first[i]), q)
         # a plain Python scalar, so that to_dict() holds JSON types
         thr = (thresholds[i] if numeric[j]
-               else dataset.ranking[0][j][rank]).item()
+               else distinct[j][rank]).item()
         values = dataset.columns[j][leaf.members]
         lefts.append(values <= thr if numeric[j] else values == thr)
         splits.append((j, thr, bool(numeric[j])))

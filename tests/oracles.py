@@ -1,5 +1,5 @@
-"""Reference implementations that only the tests use: brute-force and
-closed-form potentials, the exact AdaBoost.MM drop factor, a
+"""Reference implementations that only the tests use: the loss L(s),
+brute-force and closed-form potentials, the exact AdaBoost.MM drop factor, a
 plain-Python recursion for the zero-one table of the OS booster, the
 plurality vote, the cost-family row constraints, the best response
 over all k^m classifiers, a run's error curves recomputed round by
@@ -19,8 +19,8 @@ from driftboost.core import (TableClassifier, exp_risk, training_error,
                              wrong_labels)
 from driftboost.harness import load_csv, split_dataset
 from driftboost.potentials import (ZERO_ONE, LossSpec, _rows,
-                                   gamma_biased_uniform, loss_value,
-                                   potential_minimal, potential_zeroone_dp)
+                                   gamma_biased_uniform, potential_minimal,
+                                   potential_zeroone_dp)
 from driftboost.weaklearners import tree_from_dict
 
 
@@ -28,6 +28,19 @@ def sequential_sum(values):
     """The floats added one at a time, left to right, from 0.0: what
     sum() gave before Python 3.12 began to compensate."""
     return functools.reduce(operator.add, values, 0.0)
+
+
+def loss_value(loss, s):
+    """L(s): 1[s_1 <= max_l s_l] (ZERO_ONE) or sum_{l>=2} e^{eta (s_l - s_1)},
+    added in label order with math.exp (EXP)."""
+    diffs = [float(x - s[0]) for x in s[1:]]
+    if loss.kind == ZERO_ONE:
+        return 1.0 if max(diffs) >= 0.0 else 0.0
+    # one at a time: from Python 3.12 on, sum() compensates float sums
+    total = 0.0
+    for d in diffs:
+        total += math.exp(loss.eta * d)
+    return total
 
 
 def run_curves(out):

@@ -382,7 +382,8 @@ class TestSequentialSums:
     def test_exp_loss_adds_in_label_order(self):
         terms = [1.0, math.exp(-37.0), math.exp(-37.0)]
         assert math.fsum(terms) != oracles.sequential_sum(terms)
-        got = pot.loss_value(pot.LossSpec(pot.EXP, 1.0), [0, 0, -37, -37])
+        got = oracles.loss_value(pot.LossSpec(pot.EXP, 1.0),
+                                 [0, 0, -37, -37])
         assert got == oracles.sequential_sum(terms) == 1.0
 
     def test_os_averages_add_rows_in_order(self):

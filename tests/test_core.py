@@ -59,6 +59,44 @@ class TestTrainingError:
         F = ScoringFunction(((h1, 0.5), (h2, 0.5))).score_table(d)
         assert training_error(F, d) == 1.0
 
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_matches_row_major_rule_in_every_memory_order(self, k):
+        # the label-major reduction counts what the per-row rule counts,
+        # ties as errors, however the (m, k) table lies in memory
+        rng = np.random.default_rng(k)
+        m = 60
+        labels = rng.integers(1, k + 1, m)
+        d = indexed_dataset(labels, k)
+        f = rng.integers(0, 3, (m, k)).astype(float)  # small ints tie often
+        own = f[np.arange(m), labels - 1]
+        wrong = [max(np.delete(row, y - 1)) for row, y in zip(f, labels)]
+        assert (own == wrong).any()
+        want = float(np.mean(own <= wrong))
+        for table in (f, np.asfortranarray(f), np.ascontiguousarray(f.T).T,
+                      np.repeat(f, 2, axis=0)[::2]):
+            before = table.copy()
+            assert training_error(table, d) == want
+            assert np.array_equal(table, before)
+
+
+class TestScoreTable:
+    def test_contiguous_rows_keep_the_exp_risk_bits(self):
+        # exp_risk's row sums take other bits on a strided row once
+        # k >= 8: the table is a C-ordered copy, with the same cells as
+        # votes added row-major through a flat index
+        rng = np.random.default_rng(1)
+        m, k = 50, 9
+        d = indexed_dataset(rng.integers(1, k + 1, m), k)
+        prov = tuple((TableClassifier(rng.integers(1, k + 1, m)), alpha)
+                     for alpha in rng.uniform(0.1, 2.0, 12))
+        want = np.zeros((m, k))
+        for h, alpha in prov:
+            want.reshape(-1)[np.arange(m) * k + h.predictions - 1] += alpha
+        got = ScoringFunction(prov).score_table(d)
+        assert got.shape == (m, k) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert exp_risk(got, d) == exp_risk(want, d)
+
 
 class TestExpRisk:
     def test_zero_scores(self):

@@ -842,7 +842,21 @@ class TestCliRejectsBadInput:
         (split_model(threshold=10 ** 400), "split threshold 10000000000"),
         (split_model(alpha=math.nan), "round 1 alpha nan is not finite"),
         (split_model(alpha=math.inf), "round 1 alpha inf is not finite"),
-        (split_model(alpha=-math.inf), "round 1 alpha -inf is not finite")])
+        (split_model(alpha=-math.inf), "round 1 alpha -inf is not finite"),
+        # a label_map that does not number the labels 1..k evaluated
+        # silently, with the error of labels it never names
+        ({"k": 2, "label_map": {"a": 1.5, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}}]},
+         "label_map values [1.5, 2] are not 1..2"),
+        ({"k": 2, "label_map": {"a": "1", "b": "2"}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}}]},
+         "label_map values ['1', '2'] are not 1..2"),
+        ({"k": 2, "label_map": {"a": True, "b": 2}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}}]},
+         "label_map values [True, 2] are not 1..2"),
+        ({"k": 2, "label_map": {"a": 1, "b": 1}, "rounds": [
+            {"alpha": 1.0, "tree": {"leaf": 1}}]},
+         "label_map values [1, 1] are not 1..2")])
     def test_malformed_model(self, model, message, tmp_path, capsys):
         # each used to escape as a KeyError, TypeError or IndexError
         path = tmp_path / "m.json"

@@ -10,14 +10,14 @@ from driftboost import potentials as pot
 from driftboost.core import indexed_dataset
 from driftboost.potentials import (EXP, ZERO_ONE, EorDistribution, LossSpec,
                                    check_eor_rows, degree_map,
-                                   gamma_biased_uniform, loss_value,
-                                   minimal_sweep, potential_exp_closed,
-                                   potential_fixed, potential_minimal,
-                                   potential_zeroone_dp, zeroone_table)
+                                   gamma_biased_uniform, minimal_sweep,
+                                   potential_exp_closed, potential_fixed,
+                                   potential_minimal, potential_zeroone_dp,
+                                   zeroone_table)
 
 from oracles import (MinimalRecursion, degree_map_recursion, kappa,
-                     minimal_vs_fixed_gap, potential_oracle_bruteforce,
-                     table_potential)
+                     loss_value, minimal_vs_fixed_gap,
+                     potential_oracle_bruteforce, table_potential)
 
 ZO = LossSpec(ZERO_ONE)
 

@@ -1,6 +1,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import driftboost
 PACKAGE = pathlib.Path(driftboost.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+REPO = TESTS.parent
 
 
 def test_no_assert_statements():
@@ -184,3 +186,41 @@ def test_no_void_views():
              for path in sorted(PACKAGE.glob("*.py"))
              for line in void_views(ast.parse(path.read_text()))]
     assert found == []
+
+
+def unread_definitions(trees, text):
+    """(module, name) of every top-level function and class of the
+    modules in trees that no module reads, as a Name or an Attribute,
+    and that text does not name."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    return [(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in read
+            and not re.search(rf"\b{node.name}\b", text)]
+
+
+def test_test_only_definitions_detected():
+    trees = {"a": ast.parse("def f():\n    return g()\ndef g():\n    pass\n"
+                            "class A:\n    def method(self):\n        pass\n"
+                            "def wrapped():\n    pass\n"),
+             "b": ast.parse("import a\na.A()\ndef stored():\n    pass\n"
+                            "stored = a.f = 1\n")}
+    assert unread_definitions(trees, "wrap('a', 'wrapped')") == [
+        ("a", "f"), ("b", "stored")]
+
+
+def test_no_test_only_definitions():
+    """Every function and class of the package serves the package: some
+    module of it reads the name, or the benchmark or the project file
+    names it (the benchmark wraps functions by name). Code that only the
+    tests call belongs in the tests."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    text = "\n".join(path.read_text() for path in (
+        *sorted((REPO / "perfbench").rglob("*.py")), REPO / "pyproject.toml"))
+    assert unread_definitions(trees, text) == []

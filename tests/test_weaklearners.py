@@ -198,7 +198,7 @@ class TestStump:
 
 class TestPresort:
     """Each column of a dataset is sorted once, by the one np.unique call
-    that ranks it; every leaf of every round reads that one ranking."""
+    that ranks it; every leaf of every round reads that one layout."""
 
     def training_set(self):
         # int32 and str columns: the program's own unique and sort calls
@@ -256,16 +256,24 @@ class TestPresort:
         assert len(ranked) == len(categorical) == 1
         assert np.array_equal(ranked[0], categorical[0])
 
+    @staticmethod
+    def ranking(d):
+        """(values, ranks) as the layout holds them: each column's sorted
+        distinct values, and each row's rank among them (its bin less
+        the column's offset)."""
+        q, _, bins, *_, values = d.split_layout
+        return values, bins - q * np.arange(len(values))[:, None]
+
     def test_categories_are_cached_and_read_only(self):
-        # the categorical column's entry of the ranking: its categories
+        # the categorical column's entry of the layout: its categories
         # and each row's code
         d = self.training_set()
-        assert d.ranking is d.ranking
-        values, ranks = d.ranking
+        assert d.split_layout is d.split_layout
+        values, ranks = self.ranking(d)
         codes = ranks[3]
         assert values[3].tolist() == sorted(set(d.columns[3].tolist()))
         assert np.array_equal(values[3][codes], d.columns[3])
-        for array in (values[3], codes):
+        for array in (values[3], d.split_layout[2][3]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[1]
@@ -273,44 +281,45 @@ class TestPresort:
     def test_orders_are_cached_and_read_only(self):
         # a numeric column's ranks order its rows as a stable sort does
         d = self.training_set()
-        assert d.ranking is d.ranking
-        _, ranks = d.ranking
-        for col, rank in zip(d.columns[:3], ranks[:3]):
+        assert d.split_layout is d.split_layout
+        _, ranks = self.ranking(d)
+        bins = d.split_layout[2]
+        for col, rank, row in zip(d.columns[:3], ranks[:3], bins):
             assert np.array_equal(np.argsort(rank, kind="stable"),
                                   np.argsort(col, kind="stable"))
-            assert not rank.flags.writeable
+            assert not row.flags.writeable
             with pytest.raises(ValueError):
-                rank[0] = rank[1]
+                row[0] = row[1]
 
     def test_ranking_is_cached_and_read_only(self):
         d = self.training_set()
-        ranking = d.ranking
-        assert d.ranking is ranking
-        values, ranks = ranking
+        layout = d.split_layout
+        assert d.split_layout is layout
+        values, ranks = self.ranking(d)
         assert len(values) == len(ranks) == len(d.columns)
         for col, vals, rank in zip(d.columns, values, ranks):
             assert vals.tolist() == sorted(set(col.tolist()))
             assert vals.dtype == col.dtype
             assert np.array_equal(vals[rank], col)
-        for array in (*values, ranks):
+        for array in (*values, layout[2]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[-1]
-
 
     def test_split_layout_is_cached_and_read_only(self):
         d = self.training_set()
         layout = d.split_layout
         assert d.split_layout is layout
-        q, numeric, bins, floats, last = layout
-        values, ranks = d.ranking
+        q, numeric, bins, floats, last, values = layout
+        ranks = np.array([np.unique(col, return_inverse=True)[1]
+                          for col in d.columns])
         assert q == max(map(len, values))
         assert numeric.tolist() == [True, True, True, False]
         assert np.array_equal(bins, ranks + q * np.arange(4)[:, None])
         for j, vals in enumerate(values[:3]):
             assert floats[j * q:j * q + len(vals)].tolist() == vals.tolist()
         assert np.isnan(floats[3 * q:]).all()
-        for array in (numeric, bins, floats, last):
+        for array in (numeric, bins, floats, last, *values):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[-1]
@@ -341,8 +350,7 @@ class TestPresort:
         candidates = d.root_candidates
         assert d.root_candidates is candidates
         ends, first, thresholds = candidates
-        q, numeric = d.split_layout[:2]
-        values, _ = d.ranking
+        q, numeric, *_, values = d.split_layout
         want = [j * q + r for j, vals in enumerate(values)
                 for r in range(len(vals) - numeric[j])]
         assert first.tolist() == want

@@ -2,7 +2,8 @@
 
 A Dataset is columnar: one 1-D array per feature, whose dtype is the
 column's kind, and one int label array; row subsets index every array
-with the same index. Classifiers predict a whole dataset at once.
+with the same index; the split search indexes a Dataset in
+weaklearners. Classifiers predict a whole dataset at once.
 Score tables are (m, k) at every interface; the vote and the tie rule
 (vote, training_error) work label-major, on (k, m) tables.
 
@@ -12,7 +13,6 @@ holds label l. True labels are kept as given (no relabeling to 1).
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,105 +64,11 @@ class Dataset:
         """Row tuples of Python scalars, rebuilt from the columns."""
         return tuple(zip(*(col.tolist() for col in self.columns)))
 
-    @cached_property
-    def split_layout(self):
-        """Each column ranked by np.unique, on one flat axis of bins: rank
-        r of column j is bin j * q + r, q the most distinct values in any
-        column. Returns q, whether each column is numeric, the (p, m) bins
-        of the rows, each bin's value as a float (NaN in categorical
-        columns and past a column's last value), the last bin of the bin's
-        run of equal floats in its column (`values <= thr` compares as
-        floats; int values beyond 2**53 can share one), and each column's
-        sorted distinct values. Read-only, built once per dataset."""
-        pairs = [np.unique(col, return_inverse=True) for col in self.columns]
-        values = tuple(v for v, _ in pairs)
-        p = len(values)
-        q = max(map(len, values), default=1)
-        numeric = np.array([is_numeric(v) for v in values], dtype=bool)
-        floats = np.full((p, q), np.nan)
-        for j in np.flatnonzero(numeric):
-            floats[j, :len(values[j])] = values[j]
-        run_end = np.ones((p, q), dtype=bool)
-        run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
-        ends = np.flatnonzero(run_end)
-        bins = np.array([r for _, r in pairs], dtype=int).reshape(-1, self.m)
-        layout = (numeric, bins + q * np.arange(p)[:, None], floats.ravel(),
-                  ends[np.searchsorted(ends, np.arange(p * q))])
-        for array in (*layout, *values):
-            array.setflags(write=False)
-        return (q, *layout, values)
-
-    @cached_property
-    def root_candidates(self):
-        """split_candidates' (ends, firsts, thresholds) for a node of every
-        row, as layout bins: the data alone fixes them. Read-only, built
-        once per dataset, 2**16 bins at a time."""
-        q, _, bins = self.split_layout[:3]
-        step, parts = max(1, 2 ** 16 // q), [[], [], []]
-        for j in range(0, max(len(bins), 1), step):
-            mark = np.zeros(len(bins[j:j + step]) * q, dtype=bool)
-            mark[bins[j:j + step] - j * q] = True
-            ends, *rest = split_candidates(self.split_layout,
-                                           slice(j, j + step), mark)[2:5]
-            for part, array in zip(parts, (ends + j * q, *rest)):
-                part.append(array)
-        # one list at a time, so that each frees its parts once joined
-        out = tuple(np.concatenate(parts.pop(0)) for _ in range(3))
-        for array in out:
-            array.setflags(write=False)
-        return out
-
     def subset(self, idx):
         """The examples idx, in that order."""
         idx = np.asarray(idx, dtype=int)
         return Dataset(tuple(col[idx] for col in self.columns),
                        self.labels[idx], self.k)
-
-
-def split_candidates(layout, cols, mark):
-    """The cost-free split structure of leaves over split_layout's column
-    block cols; mark flags their present bins, leaf after leaf. Returns
-    each bin's position in rows padded to the most present bins of any
-    (leaf, column) segment, that width, and per candidate, (leaf, column,
-    candidate) in order: the bin (as in mark) its left sum ends at, its
-    layout bin and its threshold, then where each leaf's candidates stop.
-    A numeric candidate is the midpoint of two present values of a
-    segment, its left side ending at the lower bin, or at the last
-    present bin of the upper value's run of equal floats if it rounds up
-    to it; a categorical one is a present bin (NaN threshold). Both
-    sides must hold rows."""
-    q, numeric, _, floats, last = layout[:5]
-    numeric, present = numeric[cols], mark.nonzero()[0]
-    b = max(len(numeric), 1)
-    start = np.searchsorted(present, np.arange(0, len(mark) + 1, q))
-    start, stop = start[:-1], start[1:]
-    counts = stop - start
-    width = int(counts.max(initial=1))
-    slot = np.empty(len(mark), dtype=int)
-    slot[present] = np.arange(len(present)) + np.repeat(
-        np.arange(len(counts)) * width - start, counts)
-    own = present + cols.start * q  # as bins of the whole layout
-    for cut in stop[b - 1:-1:b].tolist():
-        own[cut:] -= b * q
-    # halves first: the sum of two large values overflows; a NaN
-    # midpoint (of a NaN value, or of -inf and inf) puts no row left
-    thresholds = (v := floats[own]) / 2
-    with np.errstate(invalid="ignore"):
-        thresholds[:-1] += thresholds[1:]
-    more = np.ones(len(present), dtype=bool)  # next bin in the segment
-    more[stop[counts > 0] - 1] = False
-    ends, up = present, (more[:-1] & (thresholds[:-1] >= v[1:])).nonzero()[0]
-    if len(up):
-        run = present[up + 1] + last[own[up + 1]] - own[up + 1]
-        at = np.searchsorted(present, run, "right") - 1
-        ends = present.copy()
-        ends[up] = present[at]
-        thresholds[up[~more[at]]] = np.nan  # nothing right of the run
-    categorical = ~numeric[np.arange(len(counts)) % b] & (counts > 1)
-    keep = ((more & (thresholds == thresholds))
-            | np.repeat(categorical, counts)).nonzero()[0]
-    return (slot, width, ends[keep], own[keep], thresholds[keep],
-            np.searchsorted(keep, stop[b - 1::b]).tolist())
 
 
 def indexed_dataset(labels, k):

@@ -117,14 +117,14 @@ def split_dataset(dataset, ratio, seed):
 
 def _make_learner(cfg):
     name = cfg.get("learner", "greedy")
-    if name == "stump":
-        if "tree_size" in cfg:
-            raise ValueError("tree_size applies to the greedy learner only; "
-                             "a stump has 3 nodes")
-        return weaklearners.TreeLearner(3)
-    if name == "greedy":
-        return weaklearners.TreeLearner(cfg.get("tree_size", 5))
-    raise ValueError(f"unknown learner {name}")
+    if name not in ("stump", "greedy"):
+        raise ValueError(f"unknown learner {name}")
+    if name == "stump" and "tree_size" in cfg:
+        raise ValueError("tree_size applies to the greedy learner only; "
+                         "a stump has 3 nodes")
+    size = 3 if name == "stump" else cfg.get("tree_size", 5)
+    # greedy_tree is looked up per call: a rebinding of it sees every tree
+    return lambda dataset, C: weaklearners.greedy_tree(dataset, C, size)
 
 
 def _loss_from_cfg(cfg):
@@ -170,9 +170,9 @@ def run_experiment(cfg):
         vote(ftr, r.preds, r.alpha)
         vote(fte, r.classifier.predict_all(test), r.alpha)
         zcol = r.Z_prev if algo != "os" else r.extra.get("avg_potential", 0.0)
+        errors = training_error(ftr.T, train), training_error(fte.T, test)
         lines.append("\t".join((str(r.t), fmt(r.edge), fmt(r.alpha),
-                                fmt(zcol), fmt(training_error(ftr.T, train)),
-                                fmt(training_error(fte.T, test)))))
+                                fmt(zcol), *map(fmt, errors))))
     with open(os.path.join(outdir, "run.tsv"), "w") as fh:
         fh.write("\n".join(header_meta + lines) + "\n")
 
@@ -182,8 +182,9 @@ def run_experiment(cfg):
     with open(os.path.join(outdir, "model.json"), "w") as fh:
         fh.write(json.dumps(model, sort_keys=True, indent=1) + "\n")
 
-    metrics = {"train_error": training_error(ftr.T, train),
-               "test_error": training_error(fte.T, test),
+    if not run.rounds:  # no row: the errors of the all-zero tables
+        errors = training_error(ftr.T, train), training_error(fte.T, test)
+    metrics = {"train_error": errors[0], "test_error": errors[1],
                "train_exp_risk": exp_risk(ftr.T.copy(), train),
                "rounds_run": len(run.rounds),
                "separated": run.separated}

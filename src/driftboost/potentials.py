@@ -21,6 +21,7 @@ from .core import Baseline
 
 ZERO_ONE = "ZERO_ONE"
 EXP = "EXP"
+MAX_ETA = math.log(np.finfo(float).max)  # the largest eta exp() holds
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in (ZERO_ONE, EXP):
             raise ValueError(f"unknown loss kind {self.kind}")
-        if self.kind == EXP and self.eta < 0:
-            raise ValueError("EXP loss needs eta >= 0")
+        if self.kind == EXP and not 0 <= self.eta <= MAX_ETA:  # NaN fails
+            raise ValueError(f"EXP loss needs 0 <= eta <= {MAX_ETA}")
 
 
 def check_gamma(gamma):

@@ -1,11 +1,14 @@
 """Weak learners the boosters query. Each answers the booster's (m, k)
 cost array: exhaustive best response over a finite space, and greedy
-size-capped trees (a stump has size 3) that minimize summed cost."""
+size-capped trees (a stump has size 3) that minimize summed cost, whose
+split search indexes each dataset once (split_layout)."""
+
+import weakref
+from collections import namedtuple
 
 import numpy as np
 
-from .core import (WeakClassifier, is_finite, is_numeric, prediction_matrix,
-                   split_candidates)
+from .core import WeakClassifier, is_finite, is_numeric, prediction_matrix
 
 
 def _argmin_cost(P, C):
@@ -157,6 +160,103 @@ class _Node:
         return Split(j, thr, numeric, self.left.freeze(), self.right.freeze())
 
 
+Layout = namedtuple("Layout", "q numeric bins floats last values root")
+_LAYOUTS = weakref.WeakKeyDictionary()
+
+
+def split_layout(dataset):
+    """The dataset's read-only Layout, built on first use and freed with
+    it (a weak key of _LAYOUTS). Each column is ranked by np.unique on
+    one axis of bins: rank r of column j is bin j * q + r, q the most
+    distinct values in any column. Fields: q; numeric, per column; bins,
+    the (p, m) bins of the rows; floats, each bin's value as a float (NaN
+    in categorical columns and past a column's last value); last, the
+    last bin of the bin's run of equal floats in its column (`values <=
+    thr` compares floats; ints beyond 2**53 can share one); values, each
+    column's sorted distinct values; root, split_candidates' (ends,
+    firsts, thresholds) for a node of every row, found 2**16 bins at a
+    time once the ranking's temporaries are freed."""
+    if dataset in _LAYOUTS:
+        return _LAYOUTS[dataset]
+    pairs = [np.unique(col, return_inverse=True) for col in dataset.columns]
+    values = tuple(v for v, _ in pairs)
+    p = len(values)
+    q = max(map(len, values), default=1)
+    numeric = np.array([is_numeric(v) for v in values], dtype=bool)
+    floats = np.full((p, q), np.nan)
+    for j in np.flatnonzero(numeric):
+        floats[j, :len(values[j])] = values[j]
+    run_end = np.ones((p, q), dtype=bool)
+    run_end[:, :-1] = floats[:, 1:] != floats[:, :-1]
+    ends = np.flatnonzero(run_end)
+    last = ends[np.searchsorted(ends, np.arange(p * q))]
+    bins = np.array([r for _, r in pairs], dtype=int).reshape(-1, dataset.m)
+    layout = Layout(q, numeric, bins + q * np.arange(p)[:, None],
+                    floats.ravel(), last, values, None)
+    del pairs, run_end, ends, bins
+    step, parts = max(1, 2 ** 16 // q), [[], [], []]
+    for j in range(0, max(p, 1), step):
+        ends, *rest = split_candidates(layout, slice(j, j + step),
+                                       layout.bins[j:j + step] - j * q, 1)[2:5]
+        for part, array in zip(parts, (ends + j * q, *rest)):
+            part.append(array)
+    # one list at a time, so that each frees its parts once joined
+    root = tuple(np.concatenate(parts.pop(0)) for _ in range(3))
+    layout = _LAYOUTS[dataset] = layout._replace(root=root)
+    for array in (numeric, layout.bins, layout.floats, last, *values, *root):
+        array.setflags(write=False)
+    return layout
+
+
+def split_candidates(layout, cols, block, leaves):
+    """The cost-free split structure of leaves over the layout's column
+    block cols: block holds their rows' bins, counted from the block's
+    first bin, each leaf's after the last's. Returns each bin's position
+    in rows padded to the most present bins of any (leaf, column)
+    segment, that width, and per candidate, (leaf, column, candidate) in
+    order: the bin (as in block) its left sum ends at, its layout bin
+    and its threshold, then where each leaf's candidates stop.
+    A numeric candidate is the midpoint of two present values of a
+    segment, its left side ending at the lower bin, or at the last
+    present bin of the upper value's run of equal floats if it rounds up
+    to it; a categorical one is a present bin (NaN threshold). Both
+    sides must hold rows."""
+    q, numeric = layout.q, layout.numeric[cols]
+    mark = np.zeros(leaves * len(numeric) * q, dtype=bool)
+    mark[block] = True
+    present = mark.nonzero()[0]
+    b = max(len(numeric), 1)
+    start = np.searchsorted(present, np.arange(0, len(mark) + 1, q))
+    start, stop = start[:-1], start[1:]
+    counts = stop - start
+    width = int(counts.max(initial=1))
+    slot = np.empty(len(mark), dtype=int)
+    slot[present] = np.arange(len(present)) + np.repeat(
+        np.arange(len(counts)) * width - start, counts)
+    own = present + cols.start * q  # as bins of the whole layout
+    for cut in stop[b - 1:-1:b].tolist():
+        own[cut:] -= b * q
+    # halves first: the sum of two large values overflows; a NaN
+    # midpoint (of a NaN value, or of -inf and inf) puts no row left
+    thresholds = (v := layout.floats[own]) / 2
+    with np.errstate(invalid="ignore"):
+        thresholds[:-1] += thresholds[1:]
+    more = np.ones(len(present), dtype=bool)  # next bin in the segment
+    more[stop[counts > 0] - 1] = False
+    ends, up = present, (more[:-1] & (thresholds[:-1] >= v[1:])).nonzero()[0]
+    if len(up):
+        run = present[up + 1] + layout.last[own[up + 1]] - own[up + 1]
+        at = np.searchsorted(present, run, "right") - 1
+        ends = present.copy()
+        ends[up] = present[at]
+        thresholds[up[~more[at]]] = np.nan  # nothing right of the run
+    categorical = ~numeric[np.arange(len(counts)) % b] & (counts > 1)
+    keep = ((more & (thresholds == thresholds))
+            | np.repeat(categorical, counts)).nonzero()[0]
+    return (slot, width, ends[keep], own[keep], thresholds[keep],
+            np.searchsorted(keep, stop[b - 1::b]).tolist())
+
+
 # floats in one block of columns' bin sums, and in its tiled costs
 BLOCK = 2 ** 18
 
@@ -167,9 +267,9 @@ def _split_gains(nodes, dataset, cT):
     of columns (bin sums and tiled costs under BLOCK floats) and label,
     a bincount adds the members' costs into their bins in member order,
     and a cumsum over each numeric (node, column) segment of present
-    bins (split_candidates; the root's are cached) makes left sums."""
-    layout = dataset.split_layout
-    q, numeric, bins = layout[:3]
+    bins (split_candidates; the layout holds the root's) makes left sums."""
+    layout = split_layout(dataset)
+    q, numeric, bins = layout.q, layout.numeric, layout.bins
     k, cuts = len(cT), [0]
     for node in nodes:
         cuts.append(cuts[-1] + len(node.members))
@@ -182,26 +282,22 @@ def _split_gains(nodes, dataset, cT):
               for a, z in zip(cuts, cuts[1:])]
     width = max(1, BLOCK // ((k + 1) * max(cuts[-1], len(nodes) * q)))
     parts = [[] for _ in nodes]
-    whole = np.empty(len(dataset.root_candidates[1]) if root else 0)
+    whole = np.empty(len(layout.root[1]) if root else 0)
     # one pass even without columns, so that the result has its dtypes
     for j in range(0, max(len(bins), 1), width):
         cols = slice(j, j + width)
         block = bins[cols, members] - j * q if j else bins[cols, members]
         b = len(block)
         if root:
-            ends, first, thresholds = dataset.root_candidates
-            lo, hi = ((0, len(first)) if b == len(bins) else
-                      np.searchsorted(first, [j * q, (j + b) * q]).tolist())
-            ends, first, thresholds = (ends[lo:hi] - j * q, first[lo:hi],
-                                       thresholds[lo:hi])
-            w, bounds = q, [hi - lo]
+            lo, hi = ((0, len(whole)) if b == len(bins) else np.searchsorted(
+                layout.root[1], [j * q, (j + b) * q]).tolist())
+            ends, first, thresholds = (array[lo:hi] for array in layout.root)
+            ends, w, bounds = ends - j * q, q, [hi - lo]
         else:
             for cut in cuts[1:-1]:
                 block[:, cut:] += b * q
-            mark = np.zeros(len(nodes) * b * q, dtype=bool)
-            mark[block] = True
             slot, w, ends, first, thresholds, bounds = split_candidates(
-                layout, cols, mark)
+                layout, cols, block, len(nodes))
             block, ends = slot[block], slot[ends]
         size = len(nodes) * b * w
         weights = np.repeat(rows[:, None], b, axis=1).reshape(k, -1)
@@ -219,12 +315,12 @@ def _split_gains(nodes, dataset, cT):
                                            bounds, totals):
             gains = node.score - (left[:, a:z].min(axis=0)
                                   + (total - left[:, a:z]).min(axis=0))
-            if root:  # the candidates' bins and thresholds are cached whole
+            if root:  # the layout holds the candidates' bins and thresholds
                 whole[lo:hi] = gains
             else:
                 part.append((gains, first[a:z], thresholds[a:z]))
     if root:
-        return [(whole, *dataset.root_candidates[1:])]
+        return [(whole, *layout.root[1:])]
     return [part[0] if len(part) == 1
             else tuple(map(np.concatenate, zip(*part))) for part in parts]
 
@@ -251,19 +347,19 @@ def _exact_gains(leaf, chosen, dataset, cT):
     """(split, gain, rows that go left, (k, 2) per-label totals of right
     and left child) per chosen candidate of a leaf; one bincount per
     label adds the members in order, as the child's own cumsum would."""
-    q, numeric, *_, distinct = dataset.split_layout
+    layout = split_layout(dataset)
     _, first, thresholds = leaf.candidates
     rows = cT if len(leaf.members) == cT.shape[1] else cT.take(leaf.members,
                                                               1)
     splits, lefts = [], []
     for i in chosen:
-        j, rank = divmod(int(first[i]), q)
+        j, rank = divmod(int(first[i]), layout.q)
+        numeric = bool(layout.numeric[j])
         # a plain Python scalar, so that to_dict() holds JSON types
-        thr = (thresholds[i] if numeric[j]
-               else distinct[j][rank]).item()
+        thr = (thresholds[i] if numeric else layout.values[j][rank]).item()
         values = dataset.columns[j][leaf.members]
-        lefts.append(values <= thr if numeric[j] else values == thr)
-        splits.append((j, thr, bool(numeric[j])))
+        lefts.append(values <= thr if numeric else values == thr)
+        splits.append((j, thr, numeric))
     sums = np.array([[np.bincount(left, row, 2) for row in rows]
                      for left in lefts])
     scores = sums.min(axis=1)
@@ -286,14 +382,14 @@ def greedy_tree(dataset, C, max_size):
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
     2016, Alg. 1), binned by rank, a leaf's work following its members
     as in SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996). Each leaf is
-    scored once (_split_gains): the root from structure cached per
-    dataset, a split's two children in one pass, so a size-s tree makes
-    at most 1 + (s - 3) / 2 passes. Binned sums add in another order, so
-    their gains only shortlist: the top cluster (no gap wider than
-    2 eps + 1e-12, eps a bound on the sums' error) is recomputed from
-    the children's own sums (_exact_gains) and the rule above replayed
-    on it in order. Every candidate left out is more than 1e-12 below
-    every one kept, so the tree equals that of a full scan."""
+    scored once (_split_gains): the root from the candidates its
+    dataset's split_layout holds, a split's two children in one pass, so
+    a size-s tree makes at most 1 + (s - 3) / 2 passes. Binned sums add
+    in another order, so their gains only shortlist: the top cluster (no
+    gap wider than 2 eps + 1e-12, eps a bound on the sums' error) is
+    recomputed from the children's own sums (_exact_gains) and the rule
+    above replayed on it in order. Every candidate left out is more than
+    1e-12 below every one kept, so the tree equals that of a full scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = np.asarray(C, dtype=float)
@@ -311,9 +407,10 @@ def greedy_tree(dataset, C, max_size):
     # twice that bound.
     eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * float(np.abs(c).sum())
     leaves, size = [root], 1
-    if max_size >= 3:
-        root.candidates, = _split_gains([root], dataset, cT)
     while size + 2 <= max_size:
+        fresh = [leaf for leaf in leaves if leaf.candidates is None]
+        for leaf, candidates in zip(fresh, _split_gains(fresh, dataset, cT)):
+            leaf.candidates = candidates
         picks, at, start = {}, 0, 0  # shortlisted candidates per leaf
         gains = [leaf.candidates[0] for leaf in leaves]
         for i in _shortlist(np.concatenate(gains) if len(gains) > 1
@@ -337,18 +434,4 @@ def greedy_tree(dataset, C, max_size):
         leaf.right = _Node(leaf.members[~left], sums[:, 0])
         leaves[at:at + 1] = [leaf.left, leaf.right]
         size += 2
-        if size + 2 <= max_size:
-            leaf.left.candidates, leaf.right.candidates = _split_gains(
-                [leaf.left, leaf.right], dataset, cT)
     return root.freeze()
-
-
-class TreeLearner:
-    """Learner wrapper for the boosters: grows a fresh capped tree per
-    round from the current cost matrix."""
-
-    def __init__(self, max_size):
-        self.max_size = max_size
-
-    def __call__(self, dataset, C):
-        return greedy_tree(dataset, C, self.max_size)

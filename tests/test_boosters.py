@@ -16,8 +16,7 @@ from driftboost.core import (Baseline, Dataset, ScoringFunction,
                              prediction_matrix, training_error,
                              wrong_labels)
 from driftboost.harness import random_dataset_space
-from driftboost.weaklearners import (BestResponseLearner, TreeLearner,
-                                     best_response)
+from driftboost.weaklearners import BestResponseLearner, best_response
 
 import oracles
 from oracles import FullSpaceBestResponse, plurality_predict
@@ -567,8 +566,9 @@ class TestStateClasses:
         d = Dataset((rng.integers(0, 4, m),), rng.integers(1, k + 1, m), k)
         B = (pot.uniform_baseline(d, 0.1) if baseline == "uniform"
              else random_eor_baseline(d, 0.1, rng))
+        stump = hz._make_learner({"learner": "stump"})
         run, sizes, builds = self.batch_sizes(monkeypatch, d, B, loss, T,
-                                              TreeLearner(3))
+                                              stump)
         if baseline == "uniform" and loss.kind == pot.ZERO_ONE:
             assert sizes == [] and builds == [T]
             return
@@ -663,7 +663,8 @@ class TestRunScores:
         # alpha * s gives equal counts equal scores, as the summed table
         # does; at eta = 0 both are all ties
         rng = np.random.default_rng(9)
-        for learner in (TreeLearner(5), FullSpaceBestResponse()):
+        for learner in (hz._make_learner({"tree_size": 5}),
+                        FullSpaceBestResponse()):
             for _ in range(4):
                 m, k = int(rng.integers(5, 30)), int(rng.integers(2, 5))
                 d = Dataset((rng.integers(0, 6, m), rng.normal(size=m)),

@@ -605,6 +605,22 @@ class TestCli:
         assert h(d, C1).predict_all(d).tolist() == [1, 1, 1, 1]
         assert h(d, C1[:, ::-1]).predict_all(d).tolist() == [2, 2, 2, 2]
 
+    def test_learner_calls_the_bound_greedy_tree(self, monkeypatch):
+        # a tracer rebinds weaklearners.greedy_tree around a run; a
+        # learner built before the rebinding must still call through it
+        learner = hz._make_learner({"learner": "stump"})
+        grow, calls = hz.weaklearners.greedy_tree, []
+
+        def counting(dataset, C, max_size):
+            calls.append(max_size)
+            return grow(dataset, C, max_size)
+
+        monkeypatch.setattr(hz.weaklearners, "greedy_tree", counting)
+        d, _, _ = hz.window_fixture(11, 0.1)
+        run = hz.boosters.os_boost_fixed(
+            d, hz.potentials.uniform_baseline(d, 0.1), ZO, 6, learner)
+        assert len(run.rounds) == 6 and calls == [3] * 6
+
     @pytest.mark.parametrize("learner", ["greedy-info", "best-response"])
     def test_removed_learner_names_are_rejected(self, learner, tmp_path,
                                                 capsys):
@@ -726,6 +742,23 @@ class TestCliRejectsBadInput:
         err = self.run(argv, capsys)
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    # an eta whose exponential is not a finite float: NaN trained a model
+    # with alpha NaN, which eval rejects, and inf printed a column of
+    # nan, both exiting 0; 800 ended in an OverflowError traceback
+    @pytest.mark.parametrize("argv", [
+        ["train", "{data}", "--algo", "os", "--loss", "exp", "--eta", "nan"],
+        ["potentials", "--loss", "exp", "--eta", "inf", "--rounds", "2"],
+        ["train", "{data}", "--algo", "os", "--loss", "exp", "--eta", "800"]])
+    def test_eta_out_of_range(self, argv, tmp_path, capsys):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        out = tmp_path / "out"
+        err = self.run([a.format(data=data) for a in argv]
+                       + ["--out", str(out)], capsys)
+        assert err.startswith("error: EXP loss needs 0 <= eta <= 709.78")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_tree_size_with_stump(self, tmp_path, capsys):
         # used to write "tree_size": 9 into run.tsv and grow 3-node trees

@@ -479,6 +479,17 @@ class TestExpClosedForm:
         assert potential_exp_closed(b, 0.0, 9, (0, 0, 0, 0)) == pytest.approx(3.0)
 
 
+class TestLossSpec:
+    # e^eta must be a finite float: NaN and inf used to be accepted, and
+    # 800 overflowed math.exp later
+    @pytest.mark.parametrize("eta", [-0.1, math.nan, math.inf, 710.0, 800.0])
+    def test_eta_outside_the_float_range_is_rejected(self, eta):
+        with pytest.raises(ValueError, match="EXP loss needs 0 <= eta"):
+            LossSpec(EXP, eta)
+        top = LossSpec(EXP, pot.MAX_ETA)  # the largest eta accepted
+        assert math.isfinite(math.exp(top.eta))
+
+
 class TestKappa:
     def test_eta_zero_is_one(self):
         assert kappa(0.37, 0.0, 5) == pytest.approx(1.0)

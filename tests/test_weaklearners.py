@@ -1,6 +1,6 @@
-import functools
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from driftboost.core import (Dataset, TableClassifier, indexed_dataset,
                              is_numeric)
 from driftboost.potentials import ZERO_ONE, LossSpec, uniform_baseline
 from driftboost.weaklearners import (BestResponseLearner, Leaf, Split,
-                                     TreeLearner, best_response, greedy_tree,
+                                     best_response, greedy_tree,
                                      tree_from_dict)
 
 from oracles import FullSpaceBestResponse
@@ -192,7 +192,7 @@ class TestStump:
     def test_tree_learner_wrapper(self):
         d = numeric_dataset([0, 1, 10, 11], [1, 1, 2, 2], 2)
         C = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        h = TreeLearner(3)(d, C)
+        h = hz._make_learner({"learner": "stump"})(d, C)
         assert h.to_dict() == greedy_tree(d, C, 3).to_dict()
 
 
@@ -228,7 +228,7 @@ class TestPresort:
         for name in ("unique", "argsort", "sort"):
             monkeypatch.setattr(np, name, recording(name))
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
-                             20, TreeLearner(size))
+                             20, hz._make_learner({"tree_size": size}))
         assert len(run.rounds) == 20
         assert any(r.classifier.size > 1 for r in run.rounds)
         assert [name for name, _ in calls] == ["unique"] * len(d.columns)
@@ -249,7 +249,7 @@ class TestPresort:
 
         monkeypatch.setattr(np, "unique", recording)
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
-                             20, TreeLearner(size))
+                             20, hz._make_learner({"tree_size": size}))
         assert len(run.rounds) == 20
         assert any(r.classifier.size > 1 for r in run.rounds)
         categorical = [col for col in d.columns if not is_numeric(col)]
@@ -261,19 +261,20 @@ class TestPresort:
         """(values, ranks) as the layout holds them: each column's sorted
         distinct values, and each row's rank among them (its bin less
         the column's offset)."""
-        q, _, bins, *_, values = d.split_layout
-        return values, bins - q * np.arange(len(values))[:, None]
+        layout = wl.split_layout(d)
+        offsets = layout.q * np.arange(len(layout.values))[:, None]
+        return layout.values, layout.bins - offsets
 
     def test_categories_are_cached_and_read_only(self):
         # the categorical column's entry of the layout: its categories
         # and each row's code
         d = self.training_set()
-        assert d.split_layout is d.split_layout
+        assert wl.split_layout(d) is wl.split_layout(d)
         values, ranks = self.ranking(d)
         codes = ranks[3]
         assert values[3].tolist() == sorted(set(d.columns[3].tolist()))
         assert np.array_equal(values[3][codes], d.columns[3])
-        for array in (values[3], d.split_layout[2][3]):
+        for array in (values[3], wl.split_layout(d).bins[3]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[1]
@@ -281,9 +282,9 @@ class TestPresort:
     def test_orders_are_cached_and_read_only(self):
         # a numeric column's ranks order its rows as a stable sort does
         d = self.training_set()
-        assert d.split_layout is d.split_layout
+        assert wl.split_layout(d) is wl.split_layout(d)
         _, ranks = self.ranking(d)
-        bins = d.split_layout[2]
+        bins = wl.split_layout(d).bins
         for col, rank, row in zip(d.columns[:3], ranks[:3], bins):
             assert np.array_equal(np.argsort(rank, kind="stable"),
                                   np.argsort(col, kind="stable"))
@@ -293,24 +294,24 @@ class TestPresort:
 
     def test_ranking_is_cached_and_read_only(self):
         d = self.training_set()
-        layout = d.split_layout
-        assert d.split_layout is layout
+        layout = wl.split_layout(d)
+        assert wl.split_layout(d) is layout
         values, ranks = self.ranking(d)
         assert len(values) == len(ranks) == len(d.columns)
         for col, vals, rank in zip(d.columns, values, ranks):
             assert vals.tolist() == sorted(set(col.tolist()))
             assert vals.dtype == col.dtype
             assert np.array_equal(vals[rank], col)
-        for array in (*values, layout[2]):
+        for array in (*values, layout.bins):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[-1]
 
     def test_split_layout_is_cached_and_read_only(self):
         d = self.training_set()
-        layout = d.split_layout
-        assert d.split_layout is layout
-        q, numeric, bins, floats, last, values = layout
+        layout = wl.split_layout(d)
+        assert wl.split_layout(d) is layout
+        q, numeric, bins, floats, last, values, _ = layout
         ranks = np.array([np.unique(col, return_inverse=True)[1]
                           for col in d.columns])
         assert q == max(map(len, values))
@@ -328,29 +329,38 @@ class TestPresort:
     def test_os_run_lays_out_each_dataset_once(self, monkeypatch, size):
         d = self.training_set()
         built = []
-        layout = Dataset.split_layout.func
 
-        def recording(dataset):
-            built.append(dataset)
-            return layout(dataset)
+        class Recording(weakref.WeakKeyDictionary):
+            def __setitem__(self, dataset, layout):
+                built.append(dataset)
+                super().__setitem__(dataset, layout)
 
-        monkeypatch.setattr(Dataset, "split_layout",
-                            functools.cached_property(recording))
-        Dataset.split_layout.__set_name__(Dataset, "split_layout")
+        monkeypatch.setattr(wl, "_LAYOUTS", Recording())
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
-                             20, TreeLearner(size))
+                             20, hz._make_learner({"tree_size": size}))
         assert len(run.rounds) == 20
         assert built == [d]
+
+    def test_layout_is_freed_with_its_dataset(self):
+        # the layout is held by its dataset's weak key alone: a cache
+        # that kept the dataset alive would keep both
+        d = self.training_set()
+        greedy_tree(d, np.ones((d.m, d.k)), 3)
+        bins, dataset = weakref.ref(wl.split_layout(d).bins), weakref.ref(d)
+        del d
+        gc.collect()
+        assert dataset() is None and bins() is None
 
     def test_root_candidates_are_cached_and_read_only(self):
         # a node of every row has all ranks present: its candidates are
         # each numeric column's adjacent ranks and each category, as the
         # layout's bins, and a stump's root scores exactly them
         d = self.training_set()
-        candidates = d.root_candidates
-        assert d.root_candidates is candidates
+        candidates = wl.split_layout(d).root
+        assert wl.split_layout(d).root is candidates
         ends, first, thresholds = candidates
-        q, numeric, *_, values = d.split_layout
+        layout = wl.split_layout(d)
+        q, numeric, values = layout.q, layout.numeric, layout.values
         want = [j * q + r for j, vals in enumerate(values)
                 for r in range(len(vals) - numeric[j])]
         assert first.tolist() == want
@@ -371,21 +381,24 @@ class TestPresort:
 
     @pytest.mark.parametrize("size", [3, 9])
     def test_os_run_finds_root_candidates_once(self, monkeypatch, size):
+        # only a root is scored alone (a split's children go in pairs),
+        # and only the layout's build finds one node's candidates
         d = self.training_set()
-        built = []
-        find = Dataset.root_candidates.func
+        found = []
+        find = wl.split_candidates
 
-        def recording(dataset):
-            built.append(dataset)
-            return find(dataset)
+        def recording(layout, cols, block, leaves):
+            if leaves == 1:
+                found.append(np.array(block))
+            return find(layout, cols, block, leaves)
 
-        monkeypatch.setattr(Dataset, "root_candidates",
-                            functools.cached_property(recording))
-        Dataset.root_candidates.__set_name__(Dataset, "root_candidates")
+        monkeypatch.setattr(wl, "split_candidates", recording)
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
-                             20, TreeLearner(size))
+                             20, hz._make_learner({"tree_size": size}))
         assert len(run.rounds) == 20
-        assert built == [d]
+        assert any(r.classifier.size > 1 for r in run.rounds)
+        layout = wl.split_layout(d)
+        assert len(found) == 1 and np.array_equal(found[0], layout.bins)
 
 
 # ------------------------------------------- reference split search
@@ -717,7 +730,7 @@ def test_wide_stump_memory():
 
     fresh, tree = peak(lambda: greedy_tree(Dataset(columns, labels, k), C, 3))
     d = Dataset(columns, labels, k)
-    assert d.split_layout[0] > 15000
+    assert wl.split_layout(d).q > 15000
     laid_out, again = peak(lambda: greedy_tree(d, C, 3))
     assert tree.to_dict() == again.to_dict() and tree.size == 3
     assert fresh <= 47 and laid_out <= 27

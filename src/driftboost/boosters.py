@@ -167,11 +167,13 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
     if table:
         start, children, values = zeroone_table(b[0, 0], b[0, 1], k, T)
         node = np.full(m, start)
-        phi = values[0][[start]]
+        phi = values[0][node]
     else:
-        phi = potential_fixed(b[first], loss, T, s[:, 0])
+        phi = _finite(lambda: potential_fixed(b[first], loss, T,
+                                              s[:, 0])[brow],
+                      "the initial potentials")
     rounds = []
-    initial = float(np.cumsum(phi[brow])[-1]) / m
+    initial = float(np.cumsum(phi)[-1]) / m
     all_satisfied = True
     for t in range(T):
         if table:
@@ -188,8 +190,9 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
         else:
             rep, inverse = _classes(brow, len(first), s[1:].T, t + 1)
             kids = s[:, rep].T[:, None, :] + np.eye(k, dtype=int)
-            P = potential_fixed(b[rep][:, None], loss, T - t - 1,
-                                kids)[inverse].T
+            P = _finite(lambda: potential_fixed(b[rep][:, None], loss,
+                                                T - t - 1, kids)[inverse].T,
+                        f"round {t + 1}'s potentials")
         # P holds the (k, m) true-label-first potentials of the children
         C = P.take(at)
         h = learner(dataset, C)
@@ -217,6 +220,17 @@ def os_boost_fixed(dataset, baseline, loss, T, learner):
             raise RuntimeError(
                 f"training error {err} above initial potential {initial}")
     return run
+
+
+def _finite(potentials, name):
+    """potentials(), numpy's overflow warnings off, once their sum (which
+    bounds every sum a round adds) is known finite: EXP potentials
+    overflow once eta t passes about 709."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite((phi := potentials()).sum()):
+            return phi
+    raise ValueError(f"{name} overflow the float range: the EXP loss needs "
+                     "a smaller eta or fewer rounds")
 
 
 # ---------------------------------------------------- mislabel transform

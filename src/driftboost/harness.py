@@ -139,20 +139,23 @@ def run_experiment(cfg):
     ratio, T = cfg.get("split", 0.8), cfg.get("rounds", 10)
     if not 0.0 < ratio < 1.0 or T < 0:
         raise ValueError("need 0 < split < 1 and rounds >= 0")
-    potentials.check_gamma(cfg.get("gamma", 0.0))
+    algo, gamma = cfg.get("algo", "mm-approx"), cfg.get("gamma", 0.0)
+    if algo not in ("mm-approx", "mm-exact", "os"):
+        raise ValueError(f"unknown algo {algo}")
+    potentials.check_gamma(gamma)
+    loss = _loss_from_cfg(cfg)
+    if algo != "os" and (loss.kind != ZERO_ONE or gamma):
+        raise ValueError("loss and gamma apply to the OS booster only; "
+                         "AdaBoost.MM reads neither")
     dataset, meta = load_csv(cfg["data"], cfg.get("label"))
     train, test = split_dataset(dataset, ratio, cfg.get("seed", 0))
     learner = _make_learner(cfg)
-    algo = cfg.get("algo", "mm-approx")
-    loss = _loss_from_cfg(cfg)
-    if algo in ("mm-approx", "mm-exact"):
-        rule = "APPROX" if algo == "mm-approx" else "EXACT"
-        run = boosters.adaboost_mm(train, T, learner, rule)
-    elif algo == "os":
-        baseline = potentials.uniform_baseline(train, cfg.get("gamma", 0.0))
+    if algo == "os":
+        baseline = potentials.uniform_baseline(train, gamma)
         run = boosters.os_boost_fixed(train, baseline, loss, T, learner)
     else:
-        raise ValueError(f"unknown algo {algo}")
+        rule = "APPROX" if algo == "mm-approx" else "EXACT"
+        run = boosters.adaboost_mm(train, T, learner, rule)
 
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)

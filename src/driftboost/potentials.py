@@ -229,11 +229,14 @@ def zeroone_table(b1, bw, k, T):
     u = 1 every lost one (exactly 1.0); children[t][u, 0] is the index at
     level t + 1 of u's child after a true-label vote, and
     children[t][u, 1 + p] after a vote for the wrong label at sorted
-    position p; start is the index of state 0 at level 0."""
+    position p; start is the index of state 0 at level 0. Raises
+    RuntimeError before the rows held would pass STATE_CAP (_over_cap)."""
     dtype = np.min_scalar_type(-T - 2)
     start, level = _settle(np.zeros((1, k - 1), dtype), T)
     children = []
     for t in range(T):
+        if _over_cap(sum(map(len, children)) + (k + 1) * len(level), k):
+            raise RuntimeError("zero-one potential state cap exceeded")
         index, level = _settle(_children(level), T - t - 1)
         children.append(np.concatenate(([[0] * k, [1] * k],
                                         index.reshape(-1, k))))

@@ -197,7 +197,7 @@ def split_layout(dataset):
     step, parts = max(1, 2 ** 16 // q), [[], [], []]
     for j in range(0, max(p, 1), step):
         ends, *rest = split_candidates(layout, slice(j, j + step),
-                                       layout.bins[j:j + step] - j * q, 1)[2:5]
+                                       layout.bins[j:j + step] - j * q)[2:]
         for part, array in zip(parts, (ends + j * q, *rest)):
             part.append(array)
     # one list at a time, so that each frees its parts once joined
@@ -208,24 +208,22 @@ def split_layout(dataset):
     return layout
 
 
-def split_candidates(layout, cols, block, leaves):
-    """The cost-free split structure of leaves over the layout's column
-    block cols: block holds their rows' bins, counted from the block's
-    first bin, each leaf's after the last's. Returns each bin's position
-    in rows padded to the most present bins of any (leaf, column)
-    segment, that width, and per candidate, (leaf, column, candidate) in
-    order: the bin (as in block) its left sum ends at, its layout bin
-    and its threshold, then where each leaf's candidates stop.
-    A numeric candidate is the midpoint of two present values of a
-    segment, its left side ending at the lower bin, or at the last
-    present bin of the upper value's run of equal floats if it rounds up
-    to it; a categorical one is a present bin (NaN threshold). Both
-    sides must hold rows."""
+def split_candidates(layout, cols, block):
+    """The cost-free split structure of one leaf over the layout's column
+    block cols, whose bins (counted from the block's first) the leaf's
+    rows hold in block. Returns each bin's position in rows padded to the
+    leaf's most present bins in one column, that width, and per
+    candidate, in (column, candidate) order, the bin (as in block) its
+    left sum ends at, its layout bin and its threshold. A numeric
+    candidate is the midpoint of two present values of a column, its
+    left side ending at the lower bin, or at the last present bin of the
+    upper value's run of equal floats if it rounds up to it; a
+    categorical one is a present bin (NaN threshold). Both sides must
+    hold rows."""
     q, numeric = layout.q, layout.numeric[cols]
-    mark = np.zeros(leaves * len(numeric) * q, dtype=bool)
+    mark = np.zeros(len(numeric) * q, dtype=bool)
     mark[block] = True
     present = mark.nonzero()[0]
-    b = max(len(numeric), 1)
     start = np.searchsorted(present, np.arange(0, len(mark) + 1, q))
     start, stop = start[:-1], start[1:]
     counts = stop - start
@@ -234,14 +232,12 @@ def split_candidates(layout, cols, block, leaves):
     slot[present] = np.arange(len(present)) + np.repeat(
         np.arange(len(counts)) * width - start, counts)
     own = present + cols.start * q  # as bins of the whole layout
-    for cut in stop[b - 1:-1:b].tolist():
-        own[cut:] -= b * q
     # halves first: the sum of two large values overflows; a NaN
     # midpoint (of a NaN value, or of -inf and inf) puts no row left
     thresholds = (v := layout.floats[own]) / 2
     with np.errstate(invalid="ignore"):
         thresholds[:-1] += thresholds[1:]
-    more = np.ones(len(present), dtype=bool)  # next bin in the segment
+    more = np.ones(len(present), dtype=bool)  # next bin in the column
     more[stop[counts > 0] - 1] = False
     ends, up = present, (more[:-1] & (thresholds[:-1] >= v[1:])).nonzero()[0]
     if len(up):
@@ -250,38 +246,30 @@ def split_candidates(layout, cols, block, leaves):
         ends = present.copy()
         ends[up] = present[at]
         thresholds[up[~more[at]]] = np.nan  # nothing right of the run
-    categorical = ~numeric[np.arange(len(counts)) % b] & (counts > 1)
     keep = ((more & (thresholds == thresholds))
-            | np.repeat(categorical, counts)).nonzero()[0]
-    return (slot, width, ends[keep], own[keep], thresholds[keep],
-            np.searchsorted(keep, stop[b - 1::b]).tolist())
+            | np.repeat(~numeric & (counts > 1), counts)).nonzero()[0]
+    return slot, width, ends[keep], own[keep], thresholds[keep]
 
 
 # floats in one block of columns' bin sums, and in its tiled costs
 BLOCK = 2 ** 18
 
 
-def _split_gains(nodes, dataset, cT):
-    """Per node (the root, or a split's two children together), its
-    candidates' (approximate gains, first bins, thresholds). Per block
-    of columns (bin sums and tiled costs under BLOCK floats) and label,
-    a bincount adds the members' costs into their bins in member order,
-    and a cumsum over each numeric (node, column) segment of present
-    bins (split_candidates; the layout holds the root's) makes left sums."""
+def _split_gains(node, dataset, cT):
+    """(approximate gains, first bins, thresholds) of the node's
+    candidates. Per block of columns (bin sums and tiled costs under BLOCK
+    floats) and label, a bincount adds the members' costs into their bins
+    in member order, and a cumsum over each numeric column's present bins
+    (split_candidates; the layout holds the root's) makes left sums."""
     layout = split_layout(dataset)
     q, numeric, bins = layout.q, layout.numeric, layout.bins
-    k, cuts = len(cT), [0]
-    for node in nodes:
-        cuts.append(cuts[-1] + len(node.members))
-    # the root holds every row, in order: no gather
-    root = len(nodes) == 1 and cuts[1] == dataset.m
-    members = slice(None) if root else np.concatenate(
-        [node.members for node in nodes])
+    k, n = len(cT), len(node.members)
+    root = n == dataset.m  # every row, in order: no gather
+    members = slice(None) if root else node.members
     rows = cT[:, members]
-    totals = [rows[:, a:z].sum(axis=1)[:, None]
-              for a, z in zip(cuts, cuts[1:])]
-    width = max(1, BLOCK // ((k + 1) * max(cuts[-1], len(nodes) * q)))
-    parts = [[] for _ in nodes]
+    total = rows.sum(axis=1)[:, None]
+    width = max(1, BLOCK // ((k + 1) * max(n, q)))
+    parts = []
     whole = np.empty(len(layout.root[1]) if root else 0)
     # one pass even without columns, so that the result has its dtypes
     for j in range(0, max(len(bins), 1), width):
@@ -291,38 +279,30 @@ def _split_gains(nodes, dataset, cT):
         if root:
             lo, hi = ((0, len(whole)) if b == len(bins) else np.searchsorted(
                 layout.root[1], [j * q, (j + b) * q]).tolist())
-            ends, first, thresholds = (array[lo:hi] for array in layout.root)
-            ends, w, bounds = ends - j * q, q, [hi - lo]
+            ends, w = layout.root[0][lo:hi] - j * q, q
         else:
-            for cut in cuts[1:-1]:
-                block[:, cut:] += b * q
-            slot, w, ends, first, thresholds, bounds = split_candidates(
-                layout, cols, block, len(nodes))
+            slot, w, ends, *found = split_candidates(layout, cols, block)
             block, ends = slot[block], slot[ends]
-        size = len(nodes) * b * w
         weights = np.repeat(rows[:, None], b, axis=1).reshape(k, -1)
-        sums = np.empty((k, size))
+        sums = np.empty((k, b * w))
         for label in range(k):
-            sums[label] = np.bincount(block.ravel(), weights[label], size)
+            sums[label] = np.bincount(block.ravel(), weights[label], b * w)
         # categorical bins keep their own sums
-        cube, categorical = sums.reshape(k, len(nodes), -1, w), ~numeric[cols]
-        own = cube[:, :, categorical]
-        np.cumsum(cube, axis=3, out=cube)
-        cube[:, :, categorical] = own
+        cube, categorical = sums.reshape(k, b, w), ~numeric[cols]
+        own = cube[:, categorical]
+        np.cumsum(cube, axis=2, out=cube)
+        cube[:, categorical] = own
         # label-major: the minima reduce along the long axis
         left = sums.take(ends, axis=1)
-        for node, part, a, z, total in zip(nodes, parts, [0, *bounds],
-                                           bounds, totals):
-            gains = node.score - (left[:, a:z].min(axis=0)
-                                  + (total - left[:, a:z]).min(axis=0))
-            if root:  # the layout holds the candidates' bins and thresholds
-                whole[lo:hi] = gains
-            else:
-                part.append((gains, first[a:z], thresholds[a:z]))
+        gains = node.score - (left.min(axis=0) + (total - left).min(axis=0))
+        if root:  # the layout holds the candidates' bins and thresholds
+            whole[lo:hi] = gains
+        else:
+            parts.append((gains, *found))
     if root:
-        return [(whole, *layout.root[1:])]
-    return [part[0] if len(part) == 1
-            else tuple(map(np.concatenate, zip(*part))) for part in parts]
+        return whole, *layout.root[1:]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate,
+                                                      zip(*parts)))
 
 
 def _shortlist(gains, eps):
@@ -349,8 +329,7 @@ def _exact_gains(leaf, chosen, dataset, cT):
     label adds the members in order, as the child's own cumsum would."""
     layout = split_layout(dataset)
     _, first, thresholds = leaf.candidates
-    rows = cT if len(leaf.members) == cT.shape[1] else cT.take(leaf.members,
-                                                              1)
+    rows = cT if len(leaf.members) == cT.shape[1] else cT[:, leaf.members]
     splits, lefts = [], []
     for i in chosen:
         j, rank = divmod(int(first[i]), layout.q)
@@ -382,14 +361,15 @@ def greedy_tree(dataset, C, max_size):
     The search is exact-greedy over prefix sums (Chen & Guestrin, KDD
     2016, Alg. 1), binned by rank, a leaf's work following its members
     as in SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996). Each leaf is
-    scored once (_split_gains): the root from the candidates its
-    dataset's split_layout holds, a split's two children in one pass, so
-    a size-s tree makes at most 1 + (s - 3) / 2 passes. Binned sums add
-    in another order, so their gains only shortlist: the top cluster (no
-    gap wider than 2 eps + 1e-12, eps a bound on the sums' error) is
-    recomputed from the children's own sums (_exact_gains) and the rule
-    above replayed on it in order. Every candidate left out is more than
-    1e-12 below every one kept, so the tree equals that of a full scan."""
+    scored once, in its own pass (_split_gains): the root from the
+    candidates its dataset's split_layout holds, any other leaf over its
+    own present bins, so a size-s tree (s >= 3) makes at most
+    2 floor((s - 1) / 2) - 1 passes. Binned sums add in another order, so
+    their gains only shortlist: the top cluster (no gap wider than
+    2 eps + 1e-12, eps a bound on the sums' error) is recomputed from the
+    children's own sums (_exact_gains) and the rule above replayed on it
+    in order. Every candidate left out is more than 1e-12 below every one
+    kept, so the tree equals that of a full scan."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     c = np.asarray(C, dtype=float)
@@ -408,13 +388,12 @@ def greedy_tree(dataset, C, max_size):
     eps = 4 * (dataset.m + dataset.k + 8) * 2.0 ** -52 * float(np.abs(c).sum())
     leaves, size = [root], 1
     while size + 2 <= max_size:
-        fresh = [leaf for leaf in leaves if leaf.candidates is None]
-        for leaf, candidates in zip(fresh, _split_gains(fresh, dataset, cT)):
-            leaf.candidates = candidates
+        for leaf in leaves:
+            if leaf.candidates is None:
+                leaf.candidates = _split_gains(leaf, dataset, cT)
         picks, at, start = {}, 0, 0  # shortlisted candidates per leaf
-        gains = [leaf.candidates[0] for leaf in leaves]
-        for i in _shortlist(np.concatenate(gains) if len(gains) > 1
-                            else gains[0], eps):
+        gains = np.concatenate([leaf.candidates[0] for leaf in leaves])
+        for i in _shortlist(gains, eps):
             while i >= start + len(leaves[at].candidates[0]):
                 start += len(leaves[at].candidates[0])
                 at += 1

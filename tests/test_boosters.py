@@ -499,6 +499,29 @@ class TestOsBooster:
         run = bst.os_boost_fixed(d, B, ZO, 3, worst)
         assert not run.extra["condition_satisfied"]
 
+    # EXP potentials a ** t * exp(eta d) used to overflow to inf after
+    # numpy warnings, and the run went on with NaN edges and inf averages
+    @pytest.mark.parametrize("eta, where", [
+        (50.0, "the initial potentials"), (24.0, "round 15's potentials")])
+    def test_overflowing_exp_potentials_rejected(self, eta, where):
+        # every round votes each row's wrong label. At eta = 24, a is
+        # about e^24 / 2, and round r's potentials sum to about
+        # 0.5^(29 - r) e^720, past the float range (e^709.78) from r = 15;
+        # the initial ones sum to 0.5^29 e^720. At eta = 50 they overflow
+        d = indexed_dataset([1, 2], 2)
+        costs = []
+
+        def wrong(dataset, C):
+            costs.append(C)
+            return TableClassifier(3 - dataset.labels)
+
+        with pytest.raises(ValueError,
+                           match=f"^{where} overflow the float range"):
+            bst.os_boost_fixed(d, pot.uniform_baseline(d, 0.0),
+                               pot.LossSpec(pot.EXP, eta), 30, wrong)
+        assert len(costs) == (0 if eta == 50.0 else 14)
+        assert all(np.isfinite(C).all() for C in costs)
+
     # the booster used to read a kind tag, not the rows: rows [2, -1] ran
     # with initial potential NaN, and [0.3, 0.3] ran as well
     @pytest.mark.parametrize("rows, why", [

@@ -229,11 +229,12 @@ class TestRunCurves:
         data = tmp_path / "d.csv"
         write_csv(data, zip(*x, (f"c{v}" for v in y)))
         out = tmp_path / "out"
-        # an edge of 0.4 keeps the OS booster from repeating one stump
-        metrics = hz.run_experiment({"data": str(data), "out": str(out),
-                                     "algo": algo, "gamma": 0.4,
-                                     "learner": "stump", "rounds": 8,
-                                     "split": 0.7, "seed": k})
+        # an edge of 0.4 keeps the OS booster from repeating one stump;
+        # AdaBoost.MM takes no edge
+        cfg = {"data": str(data), "out": str(out), "algo": algo,
+               "learner": "stump", "rounds": 8, "split": 0.7, "seed": k}
+        metrics = hz.run_experiment(dict(cfg, gamma=0.4) if algo == "os"
+                                    else cfg)
         want = oracles.run_curves(out)
         body = [line.split("\t") for line in
                 (out / "run.tsv").read_text().splitlines()[3:]]
@@ -337,6 +338,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^unknown learner greedy-info$"):
             hz.run_experiment({"data": str(data), "out": str(tmp_path / "o"),
                                "learner": "greedy-info"})
+
+    def test_unknown_algo_before_loading(self, tmp_path):
+        # the algo is checked before the CSV is read: no such file here
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="^unknown algo adaboost$"):
+            hz.run_experiment({"data": str(tmp_path / "missing.csv"),
+                               "out": str(out), "algo": "adaboost"})
+        assert not out.exists()
 
 
 class TestEvalModel:
@@ -758,6 +767,45 @@ class TestCliRejectsBadInput:
                        + ["--out", str(out)], capsys)
         assert err.startswith("error: EXP loss needs 0 <= eta <= 709.78")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    # EXP potentials past the float range: the run went on with NaN
+    # edges and inf averages after numpy warnings, and exited 0
+    def test_exp_potentials_overflow(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_csv(data, [(i % 7, i % 5, "abc"[i % 3]) for i in range(30)])
+        out = tmp_path / "out"
+        err = self.run(["train", str(data), "--algo", "os", "--loss", "exp",
+                        "--eta", "50", "--rounds", "30", "--learner",
+                        "stump", "--out", str(out)], capsys)
+        assert err == ("error: the initial potentials overflow the float "
+                       "range: the EXP loss needs a smaller eta or fewer "
+                       "rounds\n")
+        assert not out.exists()
+
+    def test_zeroone_table_state_cap(self, tmp_path, capsys, monkeypatch):
+        # the OS booster's zero-one table had no cap
+        monkeypatch.setattr(hz.potentials, "STATE_CAP", 50)
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        err = self.run(["train", str(data), "--algo", "os", "--rounds", "10",
+                        "--out", str(tmp_path / "out")], capsys)
+        assert err == "error: zero-one potential state cap exceeded\n"
+
+    # AdaBoost.MM reads neither option, but recorded both in run.tsv's
+    # config and exited 0
+    @pytest.mark.parametrize("option", [
+        ["--loss", "exp", "--eta", "3"], ["--gamma", "0.4"]])
+    @pytest.mark.parametrize("algo", ["mm-approx", "mm-exact"])
+    def test_os_options_with_adaboost_mm(self, algo, option, tmp_path,
+                                         capsys):
+        data = tmp_path / "w.csv"
+        window_csv(data, 11, 0.1)
+        out = tmp_path / "out"
+        err = self.run(["train", str(data), "--algo", algo, "--out",
+                        str(out)] + option, capsys)
+        assert err == ("error: loss and gamma apply to the OS booster only; "
+                       "AdaBoost.MM reads neither\n")
         assert not out.exists()
 
     def test_tree_size_with_stump(self, tmp_path, capsys):

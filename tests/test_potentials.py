@@ -699,6 +699,19 @@ class TestStateCap:
         with pytest.raises(RuntimeError):
             potential_minimal(0.0, ZO, 6, (0, 0, 0))
 
+    def test_zeroone_table_capped_as_the_sweep(self, monkeypatch):
+        # under a cap of 2,000 the sweep stopped at k = 4, t = 30, while
+        # the table had no cap and built 3,107 states
+        monkeypatch.setattr(pot, "STATE_CAP", 2000)
+        with pytest.raises(RuntimeError, match="^minimal-potential state"):
+            potential_minimal(0.1, ZO, 30, (0, 0, 0, 0))
+        with pytest.raises(RuntimeError,
+                           match="^zero-one potential state cap exceeded$"):
+            zeroone_table(0.325, 0.225, 4, 30)
+        # the largest table it still builds holds fewer states than that
+        _, _, values = zeroone_table(0.325, 0.225, 4, 25)
+        assert sum(map(len, values)) <= 2000
+
     def test_cap_bounds_memory_not_rows(self, monkeypatch):
         # a row of k = 12 states holds three times the ints of one of
         # k = 4, so under one cap the k = 12 sweep stops at fewer rows

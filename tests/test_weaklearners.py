@@ -375,22 +375,22 @@ class TestPresort:
                 array[0] = array[-1]
         cT = np.ones((d.k, d.m))
         gains, got_first, got_thresholds = wl._split_gains(
-            [leaf_node(np.arange(d.m), cT)], d, cT)[0]
+            leaf_node(np.arange(d.m), cT), d, cT)
         assert got_first is first and got_thresholds is thresholds
         assert len(gains) == len(first)
 
     @pytest.mark.parametrize("size", [3, 9])
     def test_os_run_finds_root_candidates_once(self, monkeypatch, size):
-        # only a root is scored alone (a split's children go in pairs),
-        # and only the layout's build finds one node's candidates
+        # every leaf is scored alone, and only the layout's build finds
+        # the candidates of a leaf that holds every row
         d = self.training_set()
         found = []
         find = wl.split_candidates
 
-        def recording(layout, cols, block, leaves):
-            if leaves == 1:
+        def recording(layout, cols, block):
+            if block.shape[1] == d.m:
                 found.append(np.array(block))
-            return find(layout, cols, block, leaves)
+            return find(layout, cols, block)
 
         monkeypatch.setattr(wl, "split_candidates", recording)
         run = os_boost_fixed(d, uniform_baseline(d, 0.1), LossSpec(ZERO_ONE),
@@ -602,22 +602,6 @@ class TestSplitSearchMatchesFullScan:
                 assert (greedy_tree(d, C, size).to_dict()
                         == reference_greedy_tree(d, C, size).to_dict())
 
-    def test_children_scored_together_as_each_alone(self):
-        # the two children of a split share one pass, each leaf's bins
-        # offset on the bin axis; leaf by leaf, its candidates keep the
-        # bits and dtypes of the leaf scored alone
-        rng = np.random.default_rng(1996)
-        for _ in range(300):
-            d, C, a, b = edge_problem(rng)
-            cT = np.ascontiguousarray(C.T)
-            nodes = [leaf_node(a, cT), leaf_node(b, cT)]
-            with np.errstate(invalid="ignore"):
-                both = wl._split_gains(nodes, d, cT)
-                alone = [wl._split_gains([node], d, cT)[0] for node in nodes]
-            assert len(both) == 2
-            for got, want in zip(both, alone):
-                assert same_bits(got, want)
-
     def test_edge_problems_match_the_full_scan(self):
         rng = np.random.default_rng(1997)
         for _ in range(200):
@@ -629,14 +613,14 @@ class TestSplitSearchMatchesFullScan:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 9, 10, 15])
     def test_one_scoring_pass_per_expansion(self, monkeypatch, size):
-        # the root, then the two children of each split but the last,
-        # one pass each: 1 + (s - 3) / 2 passes for a size-s tree
+        # the root, then each child of each split but the last, one pass
+        # per leaf: 2 floor((s - 1) / 2) - 1 passes for a size-s tree
         passes = []
         score = wl._split_gains
 
-        def counting(nodes, dataset, cT):
-            passes.append(len(nodes))
-            return score(nodes, dataset, cT)
+        def counting(node, dataset, cT):
+            passes.append(len(node.members))
+            return score(node, dataset, cT)
 
         monkeypatch.setattr(wl, "_split_gains", counting)
         rng = np.random.default_rng(size)
@@ -646,8 +630,45 @@ class TestSplitSearchMatchesFullScan:
             passes.clear()
             tree = greedy_tree(d, rng.normal(size=(200, 3)), size)
             assert tree.size == size - (size % 2 == 0)
-            assert passes == ([1] + [2] * ((size - 3) // 2) if size >= 3
-                              else [])
+            if size < 3:
+                assert passes == []
+                continue
+            assert len(passes) == 2 * ((size - 1) // 2) - 1
+            assert passes[0] == 200  # the root
+            # each pair of passes holds a split's two children
+            pairs = np.reshape(passes[1:], (-1, 2)).sum(axis=1)
+            assert set(pairs.tolist()) <= set(passes[:-1])
+
+    def test_each_leaf_pads_to_its_own_widest_column(self, monkeypatch):
+        # a leaf's bin sums are padded to the most present bins of one of
+        # its own columns, not to those of its sibling
+        rng = np.random.default_rng(161)
+        d = Dataset((np.round(rng.normal(size=300), 2),
+                     rng.integers(0, 4, 300),
+                     np.array(list("pqrs"))[rng.integers(0, 4, 300)]),
+                    rng.integers(1, 4, 300), 3)
+        wl.split_layout(d)  # its build is no leaf's pass
+        scored, widths = [], []
+        score, find = wl._split_gains, wl.split_candidates
+
+        def scoring(node, dataset, cT):
+            scored.append(node.members)
+            return score(node, dataset, cT)
+
+        def finding(layout, cols, block):
+            found = find(layout, cols, block)
+            widths.append(found[1])
+            return found
+
+        monkeypatch.setattr(wl, "_split_gains", scoring)
+        monkeypatch.setattr(wl, "split_candidates", finding)
+        assert greedy_tree(d, rng.normal(size=(300, 3)), 15).size == 15
+        # the root reads the layout's candidates: no split_candidates
+        own = [max(len(np.unique(column[members])) for column in d.columns)
+               for members in scored[1:]]
+        assert len(own) == 12 and widths == own
+        siblings = np.reshape(own, (-1, 2))
+        assert (siblings[:, 0] != siblings[:, 1]).any()
 
     def test_cost_matrix_and_more_rows(self):
         rng = np.random.default_rng(7)
@@ -682,9 +703,9 @@ class TestColumnBlocks:
         C = rng.normal(size=(50, 3))
         cT = np.ascontiguousarray(C.T)
         node = leaf_node(np.flatnonzero(rng.random(50) < 0.7), cT)
-        want = wl._split_gains([node], d, cT)[0]
+        want = wl._split_gains(node, d, cT)
         monkeypatch.setattr(wl, "BLOCK", block)
-        got = wl._split_gains([node], d, cT)[0]
+        got = wl._split_gains(node, d, cT)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -697,8 +718,8 @@ class TestColumnBlocks:
         for _ in range(60):
             d, C, a, b = edge_problem(rng)
             cT = np.ascontiguousarray(C.T)
-            nodes = ([leaf_node(a, cT), leaf_node(b, cT)],
-                     [leaf_node(np.arange(d.m), cT)])
+            nodes = [leaf_node(a, cT), leaf_node(b, cT),
+                     leaf_node(np.arange(d.m), cT)]
             with np.errstate(invalid="ignore"):
                 want = [wl._split_gains(n, d, cT) for n in nodes]
             problems.append((d, cT, nodes, want))
@@ -706,34 +727,52 @@ class TestColumnBlocks:
         for d, cT, nodes, want in problems:
             with np.errstate(invalid="ignore"):
                 got = [wl._split_gains(n, d, cT) for n in nodes]
-            for a, b in zip(sum(got, []), sum(want, [])):
+            for a, b in zip(got, want):
                 assert same_bits(a, b)
 
 
-def test_wide_stump_memory():
-    # a stump on 20,000 rows of 30 four-decimal columns, k = 8, peaked at
-    # 46.5 MiB of traced memory from a fresh dataset and at 26.7 MiB once
-    # the layout was built when every leaf scored the dense bin cube; the
-    # root candidates, now found in the first call, must fit within those
+def wide_problem():
+    """(columns, labels, k, cost array): 20,000 rows of 30 four-decimal
+    columns, k = 8."""
     rng = np.random.default_rng(0)
     m, k = 20000, 8
     columns = tuple(np.round(rng.normal(size=(30, m)), 4))
-    labels, C = rng.integers(1, k + 1, m), rng.normal(size=(m, k))
+    return columns, rng.integers(1, k + 1, m), k, rng.normal(size=(m, k))
 
-    def peak(grow):
-        tracemalloc.start()
-        try:
-            tree = grow()
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20, tree
-        finally:
-            tracemalloc.stop()
 
+def peak(grow):
+    """(peak traced MiB, tree) of one call of grow."""
+    tracemalloc.start()
+    try:
+        tree = grow()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20, tree
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_stump_memory():
+    # a stump on the wide problem peaked at 46.5 MiB of traced memory
+    # from a fresh dataset and at 26.7 MiB once the layout was built when
+    # every leaf scored the dense bin cube; the root candidates, now
+    # found in the first call, must fit within those
+    columns, labels, k, C = wide_problem()
     fresh, tree = peak(lambda: greedy_tree(Dataset(columns, labels, k), C, 3))
     d = Dataset(columns, labels, k)
     assert wl.split_layout(d).q > 15000
     laid_out, again = peak(lambda: greedy_tree(d, C, 3))
     assert tree.to_dict() == again.to_dict() and tree.size == 3
     assert fresh <= 47 and laid_out <= 27
+
+
+def test_wide_tree_memory():
+    # a size-9 tree on the laid-out wide problem peaked at 34.1 MiB when
+    # a split's two children shared one pass, each padded to the wider
+    # child's columns; one pass per leaf holds one leaf's sums
+    columns, labels, k, C = wide_problem()
+    d = Dataset(columns, labels, k)
+    wl.split_layout(d)
+    laid_out, tree = peak(lambda: greedy_tree(d, C, 9))
+    assert tree.size == 9 and laid_out <= 30
 
 
 @st.composite
@@ -866,7 +905,7 @@ class TestRankedSearchEdges:
         C = rng.integers(-1, 2, (40, 3)).astype(float)
         cT = np.ascontiguousarray(C.T)
         root = leaf_node(np.arange(40), cT)
-        gains = wl._split_gains([root], d, cT)[0][0]
+        gains = wl._split_gains(root, d, cT)[0]
         assert len(gains) - len(np.unique(gains)) >= 15
         assert np.count_nonzero(gains == gains.max()) >= 2
         for eps in (0.0, 1e-9, 0.3, 1.0, 5.0):
@@ -880,6 +919,20 @@ class TestRankedSearchEdges:
             eps = float(rng.choice([0.0, 0.2, 0.5, 2.0]))
             assert (wl._shortlist(gains, eps)
                     == stable_argsort_shortlist(gains, eps))
+
+    def test_shortlist_stops_at_a_gap_below_a_chain(self):
+        # three gains 0.9 gap apart, then one 1.5 gap below: the doubled
+        # reach takes in the last, and the cut must stop at the gap above
+        # it rather than search again from the cluster's new low end
+        eps = 1e-10
+        gap = 2 * eps + 1e-12
+        a = 10.0
+        b = a - 0.9 * gap
+        c = b - 0.9 * gap
+        d = c - 1.5 * gap
+        gains = np.array([d, a, c, 1.0, b])
+        assert wl._shortlist(gains, eps) == [1, 2, 4]
+        assert stable_argsort_shortlist(gains, eps) == [1, 2, 4]
 
 
 def test_greedy_tree_leaves_no_cyclic_garbage():
